@@ -42,7 +42,6 @@ from .gaussian import (
     factorize,
     load_model_store,
     save_model_store,
-    trace_product,
 )
 from .measures import (
     MEASURE_KINDS,

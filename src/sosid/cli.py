@@ -182,8 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override the manifest seed")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
+
+    seed = _Parser(add_help=False)
+    seed.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="random seed (eval-*: overrides the manifest seed; synth-corpus: default 0)",
+    )
 
     measure = _Parser(add_help=False)
     measure.add_argument(
@@ -205,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="front-end config JSON")
     p.set_defaults(func=_cmd_extract, out_required=True)
 
-    p = sub.add_parser("train", parents=[common], help="manifest to model store")
+    p = sub.add_parser("train", parents=[common, seed], help="manifest to model store")
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", default=None, help="front-end config JSON (WAV manifests)")
     p.add_argument("--train-seconds", type=float, default=None)
@@ -219,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_identify)
 
     p = sub.add_parser(
-        "eval-duration", parents=[common, measure], help="run the duration grid protocol"
+        "eval-duration", parents=[common, seed, measure], help="run the duration grid protocol"
     )
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", default=None, help="protocol config JSON")
@@ -227,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval_duration)
 
     p = sub.add_parser(
-        "eval-phonetic", parents=[common, measure], help="run the phonetic-content protocol"
+        "eval-phonetic", parents=[common, seed, measure], help="run the phonetic-content protocol"
     )
     p.add_argument("--manifest", required=True)
     p.add_argument("--taxonomy", default=None, help="taxonomy JSON (default: built-in)")
@@ -243,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval_phonetic)
 
     p = sub.add_parser(
-        "synth-corpus", parents=[common], help="write a synthetic corpus and manifest"
+        "synth-corpus", parents=[common, seed], help="write a synthetic corpus and manifest"
     )
     p.add_argument("--speakers", type=int, default=20)
     p.add_argument("--dim", type=int, default=24)

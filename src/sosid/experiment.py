@@ -258,6 +258,23 @@ def _cell_from_results(results, min_tests: int | None = None) -> ReportCell:
     return ReportCell(global_acc, speaker_mean, len(results), low_count=low)
 
 
+def _score_cells(registry, tests, owners, kinds, sc_convention, min_tests=None) -> dict:
+    """One cell per measure kind: every test scored against every speaker."""
+    facts = [factorize(model) for model in tests]
+    cells = {}
+    for kind in kinds:
+        results = []
+        if tests:
+            values = score_matrix(registry, tests, facts, kind, sc_convention)
+            decisions = decisions_from_scores(registry, values)
+            results = [
+                (owner, decision == owner)
+                for owner, decision in zip(owners, decisions)
+            ]
+        cells[kind] = _cell_from_results(results, min_tests)
+    return cells
+
+
 def _ordered_measures(requested) -> tuple:
     return tuple(kind for kind in MEASURE_KINDS if kind in requested)
 
@@ -315,18 +332,9 @@ def run_duration_experiment(
                     assert lo >= train_f  # tests never reach into training frames
                     tests.append(GaussianModel.from_frames(concat[lo : lo + test_f]))
                     owners.append(speaker_id)
-            facts = [factorize(model) for model in tests]
-            for kind in kinds:
-                if not tests:
-                    report.cells[(train_s, test_s, kind)] = _cell_from_results([])
-                    continue
-                values = score_matrix(registry, tests, facts, kind, cfg.sc_convention)
-                decisions = decisions_from_scores(registry, values)
-                results = [
-                    (owner, decision == owner)
-                    for owner, decision in zip(owners, decisions)
-                ]
-                report.cells[(train_s, test_s, kind)] = _cell_from_results(results)
+            cells = _score_cells(registry, tests, owners, kinds, cfg.sc_convention)
+            for kind, cell in cells.items():
+                report.cells[(train_s, test_s, kind)] = cell
     return report
 
 
@@ -425,18 +433,9 @@ def run_phonetic_experiment(
             for block in assembly.tests:
                 tests.append(GaussianModel.from_frames(block))
                 owners.append(speaker_id)
-        facts = [factorize(model) for model in tests]
-        for kind in kinds:
-            if not tests:
-                report.cells[(selector, kind)] = _cell_from_results([], min_tests)
-                continue
-            values = score_matrix(registry, tests, facts, kind, sc_convention)
-            decisions = decisions_from_scores(registry, values)
-            results = [
-                (owner, decision == owner)
-                for owner, decision in zip(owners, decisions)
-            ]
-            report.cells[(selector, kind)] = _cell_from_results(results, min_tests)
+        cells = _score_cells(registry, tests, owners, kinds, sc_convention, min_tests)
+        for kind, cell in cells.items():
+            report.cells[(selector, kind)] = cell
     return report
 
 

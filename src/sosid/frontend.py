@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AudioFormatError, ConfigurationError, EmptyInputError
+from .errors import AudioFormatError, ConfigurationError, EmptyInputError, SosidError
 
 
 def hz_to_mel(freq_hz):
@@ -263,4 +263,6 @@ def save_features_csv(frames, path) -> None:
 def load_features_csv(path, frame_period: float = 0.010) -> SpectralFrames:
     """Read features written by :func:`save_features_csv`."""
     vectors = np.loadtxt(path, delimiter=",", ndmin=2)
+    if not np.isfinite(vectors).all():
+        raise SosidError(f"{path}: feature values must be finite (found NaN or inf)")
     return SpectralFrames(vectors=vectors, frame_period=frame_period)

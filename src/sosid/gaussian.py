@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateModelError, NotPositiveDefiniteError
+from .errors import DegenerateModelError, NotPositiveDefiniteError, SosidError
 
 # Relative size of the diagonal loading applied when a covariance estimated
 # from short material fails to factorize: lambda = scale * trace(cov) / p.
@@ -201,15 +201,6 @@ def factorize(
     return SpdFactorization(factor=factor, log_det=log_det, inverse=inverse, loading=loading)
 
 
-def trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """tr(A @ B) as sum_ij A_ij B_ji, without forming the product."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need two square matrices of equal shape, got {a.shape} and {b.shape}")
-    return float(np.sum(a * b.T))
-
-
 def model_to_dict(speaker_id: str, model: GaussianModel, config_hash: str = "") -> dict:
     """JSON-ready document for one speaker model (covariance row-major)."""
     return {
@@ -243,11 +234,13 @@ def save_model_store(store_dir, models, config_hash: str = "") -> None:
 
 
 def load_model_store(store_dir) -> dict:
-    """Read every model in a store directory, ordered by speaker id."""
+    """Read every model in a store directory, ordered by speaker id; none is an error."""
     store = Path(store_dir)
     models = {}
     for path in sorted(store.glob("*.json")):
         doc = json.loads(path.read_text(encoding="utf-8"))
         speaker_id, model, _ = model_from_dict(doc)
         models[speaker_id] = model
+    if not models:
+        raise SosidError(f"{store}: no speaker models (*.json) in model store")
     return models

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import GaussianModel, SpdFactorization, factorize
-from .measures import MU_G, MU_GC, MU_SC, SC_DECOMPOSITION, SC_CONVENTIONS, evaluate
+from .measures import MU_G, SC_DECOMPOSITION, ModelStack, measure_matrix, stack_models
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class SpeakerRegistry:
         self.allow_loading = allow_loading
         self._models: dict[str, GaussianModel] = {}
         self._facts: dict[str, SpdFactorization] = {}
-        self._stacks = None
+        self._stack = None
 
     @classmethod
     def from_models(cls, models, allow_loading: bool = True) -> "SpeakerRegistry":
@@ -72,22 +72,14 @@ class SpeakerRegistry:
         fact = factorize(model, allow_loading=self.allow_loading)
         self._models[speaker_id] = model
         self._facts[speaker_id] = fact
-        self._stacks = None
+        self._stack = None
         return self
 
-    def _reference_stacks(self):
-        """Stacked reference arrays reused by the batch scorer."""
-        if self._stacks is None:
-            models = list(self._models.values())
-            facts = list(self._facts.values())
-            self._stacks = {
-                "covs": np.stack([m.cov for m in models]),
-                "invs": np.stack([f.inverse for f in facts]),
-                "log_dets": np.array([f.log_det for f in facts]),
-                "means": np.stack([m.mean for m in models]),
-                "counts": np.array([m.count for m in models], dtype=float),
-            }
-        return self._stacks
+    def stack(self) -> ModelStack:
+        """The registered models as one stack, in registration order."""
+        if self._stack is None:
+            self._stack = stack_models(self._models.values(), self._facts.values())
+        return self._stack
 
 
 def identify(
@@ -99,28 +91,12 @@ def identify(
     test_fact: SpdFactorization | None = None,
 ) -> ScoreSheet:
     """Score a test model against every speaker and pick the argmin."""
-    if len(registry) == 0:
-        raise ValueError("cannot identify against an empty registry")
-    if registry.dim != test.dim:
-        raise ValueError(
-            f"test dimension {test.dim} does not match registry dimension {registry.dim}"
-        )
     if test_fact is None:
         test_fact = factorize(test, allow_loading=registry.allow_loading)
-    scores = []
-    for speaker_id in registry.ids:
-        value = evaluate(
-            kind,
-            registry.model(speaker_id),
-            test,
-            ref_fact=registry.factorization(speaker_id),
-            test_fact=test_fact,
-            sc_convention=sc_convention,
-        )
-        scores.append((speaker_id, value))
-    values = np.array([value for _, value in scores])
-    decision = scores[int(np.argmin(values))][0]
-    return ScoreSheet(test_id=test_id, scores=tuple(scores), decision=decision)
+    values = score_matrix(registry, [test], [test_fact], kind, sc_convention)[0]
+    decision = registry.ids[int(np.argmin(values))]
+    scores = tuple(zip(registry.ids, values.tolist()))
+    return ScoreSheet(test_id=test_id, scores=scores, decision=decision)
 
 
 def score_matrix(
@@ -130,45 +106,12 @@ def score_matrix(
     kind: str,
     sc_convention: str = SC_DECOMPOSITION,
 ) -> np.ndarray:
-    """(n_tests, n_speakers) matrix of measure values, computed in bulk.
-
-    Equivalent to looping :func:`identify` but vectorized; the experiment
-    protocols score thousands of short tests per run.
-    """
+    """(n_tests, n_speakers) matrix of measure values against a registry."""
     if len(registry) == 0:
         raise ValueError("cannot score against an empty registry")
-    if kind not in (MU_G, MU_GC, MU_SC):
-        raise ValueError(f"unknown measure kind {kind!r}")
-    if sc_convention not in SC_CONVENTIONS:
-        raise ValueError(f"unknown mu_sc convention {sc_convention!r}")
-    refs = registry._reference_stacks()
-    p = registry.dim
-    test_covs = np.stack([m.cov for m in tests])
-    test_invs = np.stack([f.inverse for f in test_facts])
-    test_log_dets = np.array([f.log_det for f in test_facts])
-    test_means = np.stack([m.mean for m in tests])
-    test_counts = np.array([m.count for m in tests], dtype=float)
-
-    total = refs["counts"][None, :] + test_counts[:, None]
-    a = refs["counts"][None, :] / total
-    b = test_counts[:, None] / total
-    tr1 = np.einsum("tij,rji->tr", test_covs, refs["invs"])
-    tr2 = np.einsum("rij,tji->tr", refs["covs"], test_invs)
-    ldr = test_log_dets[:, None] - refs["log_dets"][None, :]
-
-    if kind == MU_SC:
-        base = a * np.log(tr1) + b * np.log(tr2) - np.log(p)
-        if sc_convention == SC_DECOMPOSITION:
-            return base - (a - b) * ldr / p
-        return base + (a - b) * ldr / p
-
-    values = (a * tr1 + b * tr2 - (a - b) * ldr) / p - 1.0
-    if kind == MU_G:
-        diff = test_means[:, None, :] - refs["means"][None, :, :]
-        quad_ref = np.einsum("trp,rpq,trq->tr", diff, refs["invs"], diff)
-        quad_test = np.einsum("trp,tpq,trq->tr", diff, test_invs, diff)
-        values = values + (a * quad_ref + b * quad_test) / p
-    return values
+    return measure_matrix(
+        kind, registry.stack(), stack_models(tests, test_facts), sc_convention
+    )
 
 
 def decisions_from_scores(registry: SpeakerRegistry, values: np.ndarray) -> list:

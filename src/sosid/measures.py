@@ -23,13 +23,20 @@ weighted sum of the one-sided sphericity statistics,
 which is non-negative by the AM-GM inequality. "as-printed" flips the sign
 of the determinant term; the two agree whenever M = N and the flag exists
 only so both readings can be compared on unbalanced counts.
+
+The formulas exist once, in :func:`measure_matrix`, which scores every
+test of one :class:`ModelStack` against every reference of another. The
+scalar functions (:func:`evaluate`, :func:`mu_g`, :func:`mu_gc`,
+:func:`mu_sc`) are one-row views of it.
 """
 
 from __future__ import annotations
 
-import math
+from dataclasses import dataclass
 
-from .gaussian import GaussianModel, SpdFactorization, factorize, trace_product
+import numpy as np
+
+from .gaussian import GaussianModel, SpdFactorization, factorize
 
 MU_G = "mu_g"
 MU_GC = "mu_gc"
@@ -41,65 +48,69 @@ SC_AS_PRINTED = "as-printed"
 SC_CONVENTIONS = (SC_DECOMPOSITION, SC_AS_PRINTED)
 
 
-def _pair_terms(ref, test, ref_fact, test_fact):
-    """Shared per-pair quantities: weights, traces, log det ratio."""
-    if ref.dim != test.dim:
-        raise ValueError(f"dimension mismatch: {ref.dim} vs {test.dim}")
-    if ref_fact is None:
-        ref_fact = factorize(ref)
-    if test_fact is None:
-        test_fact = factorize(test)
-    total = ref.count + test.count
-    a = ref.count / total
-    b = test.count / total
-    tr_test_refinv = trace_product(test.cov, ref_fact.inverse)
-    tr_ref_testinv = trace_product(ref.cov, test_fact.inverse)
-    logdet_ratio = test_fact.log_det - ref_fact.log_det
-    return a, b, tr_test_refinv, tr_ref_testinv, logdet_ratio, ref_fact, test_fact
+@dataclass(frozen=True)
+class ModelStack:
+    """Models and their factorizations stacked along a leading axis."""
+
+    means: np.ndarray
+    covs: np.ndarray
+    counts: np.ndarray
+    inverses: np.ndarray
+    log_dets: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.means.shape[1]
 
 
-def mu_gc(
-    ref: GaussianModel,
-    test: GaussianModel,
-    ref_fact: SpdFactorization | None = None,
-    test_fact: SpdFactorization | None = None,
-) -> float:
-    """Covariance-only measure; zero iff the covariances are equal."""
-    a, b, tr1, tr2, ldr, _, _ = _pair_terms(ref, test, ref_fact, test_fact)
-    return (a * tr1 + b * tr2 - (a - b) * ldr) / ref.dim - 1.0
-
-
-def mu_g(
-    ref: GaussianModel,
-    test: GaussianModel,
-    ref_fact: SpdFactorization | None = None,
-    test_fact: SpdFactorization | None = None,
-) -> float:
-    """Full measure: ``mu_gc`` plus the weighted mean-difference quadratic form."""
-    a, b, tr1, tr2, ldr, ref_fact, test_fact = _pair_terms(ref, test, ref_fact, test_fact)
-    diff = test.mean - ref.mean
-    quad = a * float(diff @ ref_fact.inverse @ diff) + b * float(
-        diff @ test_fact.inverse @ diff
+def stack_models(models, facts) -> ModelStack:
+    """Stack parallel sequences of models and their factorizations."""
+    models = list(models)
+    facts = list(facts)
+    return ModelStack(
+        means=np.stack([m.mean for m in models]),
+        covs=np.stack([m.cov for m in models]),
+        counts=np.array([m.count for m in models], dtype=float),
+        inverses=np.stack([f.inverse for f in facts]),
+        log_dets=np.array([f.log_det for f in facts]),
     )
-    return (a * tr1 + b * tr2 - (a - b) * ldr + quad) / ref.dim - 1.0
 
 
-def mu_sc(
-    ref: GaussianModel,
-    test: GaussianModel,
-    ref_fact: SpdFactorization | None = None,
-    test_fact: SpdFactorization | None = None,
-    convention: str = SC_DECOMPOSITION,
-) -> float:
-    """Sphericity measure; see module docstring for the two conventions."""
-    if convention not in SC_CONVENTIONS:
-        raise ValueError(f"unknown mu_sc convention {convention!r}")
-    a, b, tr1, tr2, ldr, _, _ = _pair_terms(ref, test, ref_fact, test_fact)
-    p = ref.dim
-    base = a * math.log(tr1) + b * math.log(tr2) - math.log(p)
-    if convention == SC_DECOMPOSITION:
-        return base - (a - b) * ldr / p
-    return base + (a - b) * ldr / p
+def measure_matrix(
+    kind: str,
+    refs: ModelStack,
+    tests: ModelStack,
+    sc_convention: str = SC_DECOMPOSITION,
+) -> np.ndarray:
+    """(n_tests, n_refs) matrix of one measure over every test/reference pair."""
+    if kind not in MEASURE_KINDS:
+        raise ValueError(f"unknown measure kind {kind!r}")
+    if sc_convention not in SC_CONVENTIONS:
+        raise ValueError(f"unknown mu_sc convention {sc_convention!r}")
+    if refs.dim != tests.dim:
+        raise ValueError(f"dimension mismatch: {refs.dim} vs {tests.dim}")
+    p = refs.dim
+
+    total = refs.counts[None, :] + tests.counts[:, None]
+    a = refs.counts[None, :] / total
+    b = tests.counts[:, None] / total
+    tr1 = np.einsum("tij,rji->tr", tests.covs, refs.inverses)
+    tr2 = np.einsum("rij,tji->tr", refs.covs, tests.inverses)
+    ldr = tests.log_dets[:, None] - refs.log_dets[None, :]
+
+    if kind == MU_SC:
+        base = a * np.log(tr1) + b * np.log(tr2) - np.log(p)
+        if sc_convention == SC_DECOMPOSITION:
+            return base - (a - b) * ldr / p
+        return base + (a - b) * ldr / p
+
+    values = (a * tr1 + b * tr2 - (a - b) * ldr) / p - 1.0
+    if kind == MU_G:
+        diff = tests.means[:, None, :] - refs.means[None, :, :]
+        quad_ref = np.einsum("trp,rpq,trq->tr", diff, refs.inverses, diff)
+        quad_test = np.einsum("trp,tpq,trq->tr", diff, tests.inverses, diff)
+        values = values + (a * quad_ref + b * quad_test) / p
+    return values
 
 
 def evaluate(
@@ -110,11 +121,40 @@ def evaluate(
     test_fact: SpdFactorization | None = None,
     sc_convention: str = SC_DECOMPOSITION,
 ) -> float:
-    """Dispatch on a measure name ("mu_g" | "mu_gc" | "mu_sc")."""
-    if kind == MU_G:
-        return mu_g(ref, test, ref_fact, test_fact)
-    if kind == MU_GC:
-        return mu_gc(ref, test, ref_fact, test_fact)
-    if kind == MU_SC:
-        return mu_sc(ref, test, ref_fact, test_fact, convention=sc_convention)
-    raise ValueError(f"unknown measure kind {kind!r}")
+    """One measure ("mu_g" | "mu_gc" | "mu_sc") of a single pair."""
+    if ref.dim != test.dim:
+        raise ValueError(f"dimension mismatch: {ref.dim} vs {test.dim}")
+    refs = stack_models([ref], [ref_fact if ref_fact is not None else factorize(ref)])
+    tests = stack_models([test], [test_fact if test_fact is not None else factorize(test)])
+    return float(measure_matrix(kind, refs, tests, sc_convention)[0, 0])
+
+
+def mu_gc(
+    ref: GaussianModel,
+    test: GaussianModel,
+    ref_fact: SpdFactorization | None = None,
+    test_fact: SpdFactorization | None = None,
+) -> float:
+    """Covariance-only measure; zero iff the covariances are equal."""
+    return evaluate(MU_GC, ref, test, ref_fact, test_fact)
+
+
+def mu_g(
+    ref: GaussianModel,
+    test: GaussianModel,
+    ref_fact: SpdFactorization | None = None,
+    test_fact: SpdFactorization | None = None,
+) -> float:
+    """Full measure: ``mu_gc`` plus the weighted mean-difference quadratic form."""
+    return evaluate(MU_G, ref, test, ref_fact, test_fact)
+
+
+def mu_sc(
+    ref: GaussianModel,
+    test: GaussianModel,
+    ref_fact: SpdFactorization | None = None,
+    test_fact: SpdFactorization | None = None,
+    convention: str = SC_DECOMPOSITION,
+) -> float:
+    """Sphericity measure; see module docstring for the two conventions."""
+    return evaluate(MU_SC, ref, test, ref_fact, test_fact, sc_convention=convention)

@@ -103,6 +103,28 @@ class TestTrainAndIdentify:
         assert code == 0
         assert capsys.readouterr().out.startswith("test_id,decision,")
 
+    @pytest.mark.parametrize("make_dir", [False, True])
+    def test_missing_or_empty_store_is_data_error(
+        self, corpus_dir, tmp_path, capsys, make_dir
+    ):
+        store = tmp_path / "store"
+        if make_dir:
+            store.mkdir()
+        features = str(corpus_dir / "spk000" / "s000.csv")
+        code = main(["identify", "--store", str(store), features])
+        assert code == 2
+        assert str(store) in capsys.readouterr().err
+
+    def test_non_finite_features_are_data_error(self, corpus_dir, tmp_path, capsys):
+        store = tmp_path / "store"
+        main(["train", "--manifest", str(corpus_dir / "manifest.json"), "--out", str(store)])
+        features = np.loadtxt(corpus_dir / "spk000" / "s000.csv", delimiter=",")
+        features[10, 2] = np.nan
+        bad = tmp_path / "nan.csv"
+        np.savetxt(bad, features, delimiter=",")
+        assert main(["identify", "--store", str(store), str(bad)]) == 2
+        assert "nan.csv" in capsys.readouterr().err
+
 
 class TestEvalCommands:
     def test_eval_duration_csv(self, corpus_dir, tmp_path):
@@ -193,6 +215,10 @@ class TestExitCodes:
 
     def test_bad_measure_choice_is_usage_error(self, tmp_path):
         assert main(["identify", "--store", str(tmp_path), "--measure", "nope", "x.csv"]) == 1
+
+    def test_seed_is_not_an_extract_or_identify_flag(self, tmp_path):
+        assert main(["extract", "x.wav", "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 1
+        assert main(["identify", "--store", str(tmp_path), "--seed", "1", "x.csv"]) == 1
 
     def test_missing_manifest_is_data_error(self, tmp_path):
         assert main(["eval-duration", "--manifest", str(tmp_path / "m.json")]) == 2

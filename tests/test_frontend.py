@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sosid.errors import AudioFormatError, ConfigurationError, EmptyInputError
+from sosid.errors import AudioFormatError, ConfigurationError, EmptyInputError, SosidError
 from sosid.frontend import (
     FrontendConfig,
     SampleBuffer,
@@ -333,6 +333,15 @@ class TestExtractFeatures:
         row = np.arange(24.0)[None, :]
         save_features_csv(row, path)
         assert load_features_csv(path).vectors.shape == (1, 24)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_csv_rejected(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        rows = np.ones((5, 24))
+        rows[3, 7] = bad
+        save_features_csv(rows, path)
+        with pytest.raises(SosidError, match="bad.csv"):
+            load_features_csv(path)
 
 
 def _pipeline_oracle(samples, rate, cfg):

@@ -14,7 +14,6 @@ from sosid.gaussian import (
     model_from_dict,
     model_to_dict,
     save_model_store,
-    trace_product,
 )
 
 
@@ -211,27 +210,6 @@ class TestFactorize:
     def test_zero_matrix_rejected_even_with_loading(self):
         with pytest.raises(NotPositiveDefiniteError):
             factorize(np.zeros((3, 3)))
-
-
-class TestTraceProduct:
-    def test_identity_pair(self):
-        assert trace_product(np.eye(24), np.eye(24)) == 24.0
-
-    def test_cyclic(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((6, 6))
-        b = rng.standard_normal((6, 6))
-        assert trace_product(a, b) == pytest.approx(trace_product(b, a), rel=1e-12)
-
-    def test_matches_full_product(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((24, 24))
-        b = rng.standard_normal((24, 24))
-        assert trace_product(a, b) == pytest.approx(np.trace(a @ b), rel=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            trace_product(np.eye(3), np.eye(4))
 
 
 class TestModelStore:
