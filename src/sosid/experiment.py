@@ -37,7 +37,7 @@ from .frontend import (
     load_features_csv,
     load_wav,
 )
-from .gaussian import GaussianModel, factorize
+from .gaussian import GaussianModel, stack_blocks
 from .identify import SpeakerRegistry, decisions_from_scores, score_matrix
 from .measures import MEASURE_KINDS, SC_CONVENTIONS, SC_DECOMPOSITION
 from .phonetic import (
@@ -192,12 +192,17 @@ class DurationProtocolConfig:
 
 @dataclass(frozen=True)
 class ReportCell:
-    """Metrics of one experiment cell."""
+    """Metrics of one experiment cell.
+
+    ``n_loaded`` counts the cell's tests whose covariance needed diagonal
+    loading; it is a diagnostic that :func:`emit_report` does not write.
+    """
 
     global_accuracy: float
     per_speaker_mean_accuracy: float
     n_tests: int
     low_count: bool = False
+    n_loaded: int = 0
 
 
 @dataclass
@@ -250,28 +255,29 @@ def _speaker_streams(corpus: LoadedCorpus):
     return streams
 
 
-def _cell_from_results(results, min_tests: int | None = None) -> ReportCell:
+def _cell_from_results(
+    results, min_tests: int | None = None, n_loaded: int = 0
+) -> ReportCell:
     if not results:
         return ReportCell(0.0, 0.0, 0, low_count=min_tests is not None)
     global_acc, speaker_mean = compute_metrics(results)
     low = min_tests is not None and len(results) < min_tests
-    return ReportCell(global_acc, speaker_mean, len(results), low_count=low)
+    return ReportCell(
+        global_acc, speaker_mean, len(results), low_count=low, n_loaded=n_loaded
+    )
 
 
 def _score_cells(registry, tests, owners, kinds, sc_convention, min_tests=None) -> dict:
-    """One cell per measure kind: every test scored against every speaker."""
-    facts = [factorize(model) for model in tests]
+    """One cell per measure kind: every test of a stack scored against every speaker."""
+    n_loaded = int(np.count_nonzero(tests.loadings))
     cells = {}
     for kind in kinds:
-        results = []
-        if tests:
-            values = score_matrix(registry, tests, facts, kind, sc_convention)
-            decisions = decisions_from_scores(registry, values)
-            results = [
-                (owner, decision == owner)
-                for owner, decision in zip(owners, decisions)
-            ]
-        cells[kind] = _cell_from_results(results, min_tests)
+        values = score_matrix(registry, tests, kind, sc_convention)
+        decisions = decisions_from_scores(registry, values)
+        results = [
+            (owner, decision == owner) for owner, decision in zip(owners, decisions)
+        ]
+        cells[kind] = _cell_from_results(results, min_tests, n_loaded)
     return cells
 
 
@@ -322,17 +328,18 @@ def run_duration_experiment(
         for test_s in test_grid:
             test_f = round(test_s * fps)
             owners = []
-            tests = []
+            blocks = []
             for speaker_id, concat, _ in streams:
                 n_blocks = min(
                     cfg.max_tests_per_speaker, (len(concat) - train_f) // test_f
                 )
-                for block in range(n_blocks):
-                    lo = train_f + block * test_f
-                    assert lo >= train_f  # tests never reach into training frames
-                    tests.append(GaussianModel.from_frames(concat[lo : lo + test_f]))
-                    owners.append(speaker_id)
-            cells = _score_cells(registry, tests, owners, kinds, cfg.sc_convention)
+                # tests start at train_f, so they never reach into training frames
+                tested = concat[train_f : train_f + n_blocks * test_f]
+                blocks.append(tested.reshape(n_blocks, test_f, concat.shape[1]))
+                owners.extend([speaker_id] * n_blocks)
+            cells = _score_cells(
+                registry, stack_blocks(blocks), owners, kinds, cfg.sc_convention
+            )
             for kind, cell in cells.items():
                 report.cells[(train_s, test_s, kind)] = cell
     return report
@@ -421,19 +428,25 @@ def run_phonetic_experiment(
     )
     for selector in selectors:
         owners = []
-        tests = []
-        for speaker_id, _, _ in streams:
-            pooled = select_frames(
-                concat_by_speaker[speaker_id],
-                segments_by_speaker[speaker_id],
-                selector,
-                taxonomy,
-            )
-            assembly = assemble_tests(pooled, test_len, speaker_id, selector)
-            for block in assembly.tests:
-                tests.append(GaussianModel.from_frames(block))
-                owners.append(speaker_id)
-        cells = _score_cells(registry, tests, owners, kinds, sc_convention, min_tests)
+
+        def speaker_tests():
+            # one speaker's pooled frames alive at a time
+            for speaker_id, _, _ in streams:
+                pooled = select_frames(
+                    concat_by_speaker[speaker_id],
+                    segments_by_speaker[speaker_id],
+                    selector,
+                    taxonomy,
+                )
+                assembly = assemble_tests(pooled, test_len, speaker_id, selector)
+                owners.extend([speaker_id] * len(assembly))
+                yield assembly.tests
+
+        # stack_blocks consumes speaker_tests, which fills owners, before
+        # _score_cells runs
+        cells = _score_cells(
+            registry, stack_blocks(speaker_tests()), owners, kinds, sc_convention, min_tests
+        )
         for kind, cell in cells.items():
             report.cells[(selector, kind)] = cell
     return report

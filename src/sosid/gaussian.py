@@ -41,6 +41,8 @@ class GaussianModel:
             raise ValueError(
                 f"cov shape {cov.shape} does not match dimension {mean.size}"
             )
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and cov must be finite")
         if not np.allclose(cov, cov.T, rtol=1e-8, atol=1e-12):
             raise ValueError("cov must be symmetric")
         if self.count < 1:
@@ -124,21 +126,11 @@ class ModelAccumulator:
         when the covariance is not positive definite even after the loading
         policy is applied. Counts below p + 1 produce a warning only.
         """
-        if self._count < 2:
-            raise DegenerateModelError(
-                f"need at least 2 vectors to estimate a model, got {self._count}"
-            )
-        mean = self._sum / self._count
-        cov = self._outer / self._count - np.outer(mean, mean)
-        cov = (cov + cov.T) / 2.0
-        if self._count < self.dim + 1:
-            warnings.warn(
-                f"covariance from {self._count} vectors at dimension {self.dim} "
-                "is rank deficient in exact arithmetic",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        model = GaussianModel(mean=mean, cov=cov, count=self._count)
+        _check_count(self._count, self.dim)
+        means, covs = _ml_moments(
+            self._sum[None], self._outer[None], np.array([float(self._count)])
+        )
+        model = GaussianModel(mean=means[0], cov=covs[0], count=self._count)
         try:
             factorize(model, allow_loading=allow_loading)
         except NotPositiveDefiniteError as exc:
@@ -146,6 +138,28 @@ class ModelAccumulator:
                 f"covariance from {self._count} vectors is not positive definite: {exc}"
             ) from exc
         return model
+
+
+def _check_count(count: int, dim: int) -> None:
+    """Reject fewer than 2 vectors; warn below p + 1, where the covariance is singular."""
+    if count < 2:
+        raise DegenerateModelError(
+            f"need at least 2 vectors to estimate a model, got {count}"
+        )
+    if count < dim + 1:
+        warnings.warn(
+            f"covariance from {count} vectors at dimension {dim} "
+            "is rank deficient in exact arithmetic",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
+def _ml_moments(sums, outers, counts):
+    """Stacked means and ML (1/M) covariances from raw moment sums, in one pass."""
+    means = sums / counts[:, None]
+    covs = outers / counts[:, None, None] - means[:, :, None] * means[:, None, :]
+    return means, (covs + np.swapaxes(covs, 1, 2)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -179,26 +193,138 @@ def factorize(
     the applied amount is reported through the result's ``loading`` field.
     """
     cov = model.cov if isinstance(model, GaussianModel) else np.asarray(model, dtype=float)
-    loading = 0.0
+    factors, loadings, log_dets, inverses = _factorize_stack(
+        cov[None], allow_loading, loading_scale
+    )
+    return SpdFactorization(
+        factor=factors[0],
+        log_det=float(log_dets[0]),
+        inverse=inverses[0],
+        loading=float(loadings[0]),
+    )
+
+
+def _cholesky_with_loading(cov, allow_loading: bool, loading_scale: float):
+    """(lower factor, loading) of one covariance under the loading policy."""
     try:
-        factor = np.linalg.cholesky(cov)
+        return np.linalg.cholesky(cov), 0.0
     except np.linalg.LinAlgError:
-        loading = loading_scale * max(np.trace(cov), 0.0) / cov.shape[0]
-        if not allow_loading or loading <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"covariance of dimension {cov.shape[0]} is not positive definite"
-            ) from None
-        try:
-            factor = np.linalg.cholesky(cov + loading * np.eye(cov.shape[0]))
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefiniteError(
-                f"covariance of dimension {cov.shape[0]} is not positive definite "
-                f"even after diagonal loading of {loading:g}"
-            ) from None
-    log_det = 2.0 * float(np.sum(np.log(np.diag(factor))))
-    inverse = scipy.linalg.cho_solve((factor, True), np.eye(cov.shape[0]))
-    inverse = (inverse + inverse.T) / 2.0
-    return SpdFactorization(factor=factor, log_det=log_det, inverse=inverse, loading=loading)
+        pass
+    loading = loading_scale * max(np.trace(cov), 0.0) / cov.shape[0]
+    if not allow_loading or loading <= 0.0:
+        raise NotPositiveDefiniteError(
+            f"covariance of dimension {cov.shape[0]} is not positive definite"
+        )
+    try:
+        return np.linalg.cholesky(cov + loading * np.eye(cov.shape[0])), loading
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(
+            f"covariance of dimension {cov.shape[0]} is not positive definite "
+            f"even after diagonal loading of {loading:g}"
+        ) from None
+
+
+def _factorize_stack(covs, allow_loading: bool, loading_scale: float):
+    """Factors, loadings, log-dets and inverses of a (n, p, p) covariance stack.
+
+    One batched Cholesky serves the common case; only when it fails is each
+    covariance factorized on its own, so loading reaches only the ones that
+    need it.
+    """
+    loadings = np.zeros(len(covs))
+    try:
+        factors = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        factors = np.empty_like(covs)
+        for i, cov in enumerate(covs):
+            factors[i], loadings[i] = _cholesky_with_loading(
+                cov, allow_loading, loading_scale
+            )
+    log_dets = 2.0 * np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1)
+    # inverse = L^-T L^-1; a positive Cholesky diagonal makes trtri succeed
+    inv_factors = np.empty_like(factors)
+    for i, factor in enumerate(factors):
+        inv_factors[i] = scipy.linalg.lapack.dtrtri(factor, lower=1)[0]
+    inverses = np.swapaxes(inv_factors, 1, 2) @ inv_factors
+    inverses = (inverses + np.swapaxes(inverses, 1, 2)) / 2.0
+    return factors, loadings, log_dets, inverses
+
+
+@dataclass(frozen=True)
+class ModelStack:
+    """Models and their factorizations stacked along a leading axis."""
+
+    means: np.ndarray
+    covs: np.ndarray
+    counts: np.ndarray
+    inverses: np.ndarray
+    log_dets: np.ndarray
+    loadings: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.means.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.means)
+
+
+def stack_models(models, facts) -> ModelStack:
+    """Stack parallel sequences of models and their factorizations."""
+    models = list(models)
+    facts = list(facts)
+    return ModelStack(
+        means=np.stack([m.mean for m in models]),
+        covs=np.stack([m.cov for m in models]),
+        counts=np.array([m.count for m in models], dtype=float),
+        inverses=np.stack([f.inverse for f in facts]),
+        log_dets=np.array([f.log_det for f in facts]),
+        loadings=np.array([f.loading for f in facts]),
+    )
+
+
+def _block_moments(block_sets):
+    """Raw moment sums and frame counts of every block, in block order."""
+    sums, outers, counts = [], [], []
+    for blocks in block_sets:
+        blocks = np.asarray(blocks, dtype=float)
+        n, frames, dim = blocks.shape
+        if n:
+            _check_count(frames, dim)
+        sums.append(blocks.sum(axis=1))
+        outers.append(np.swapaxes(blocks, 1, 2) @ blocks)
+        counts.append(np.full(n, float(frames)))
+    return np.concatenate(sums), np.concatenate(outers), np.concatenate(counts)
+
+
+def stack_blocks(block_sets, allow_loading: bool = True) -> ModelStack:
+    """Estimate and factorize one model per frame block, as one batch.
+
+    ``block_sets`` is an iterable of (n_blocks, frames, p) arrays, typically
+    zero-copy reshapes of each speaker's frames. They are consumed one at a
+    time, so a generator keeps only one set alive. Block by block, the
+    result is what :meth:`GaussianModel.from_frames` and :func:`factorize`
+    give, with the same count checks and loading policy.
+    """
+    sums, outers, counts = _block_moments(block_sets)
+    means, covs = _ml_moments(sums, outers, counts)
+    del sums, outers  # raw moments are not needed while factorizing
+    try:
+        _, loadings, log_dets, inverses = _factorize_stack(
+            covs, allow_loading, DEFAULT_LOADING_SCALE
+        )
+    except NotPositiveDefiniteError as exc:
+        raise DegenerateModelError(
+            f"covariance of a frame block is not positive definite: {exc}"
+        ) from exc
+    return ModelStack(
+        means=means,
+        covs=covs,
+        counts=counts,
+        inverses=inverses,
+        log_dets=log_dets,
+        loadings=loadings,
+    )
 
 
 def model_to_dict(speaker_id: str, model: GaussianModel, config_hash: str = "") -> dict:
@@ -234,12 +360,28 @@ def save_model_store(store_dir, models, config_hash: str = "") -> None:
 
 
 def load_model_store(store_dir) -> dict:
-    """Read every model in a store directory, ordered by speaker id; none is an error."""
+    """Read every model in a store directory, ordered by speaker id.
+
+    An empty store, or any document that is not a valid model (bad JSON, a
+    missing key, wrong sizes, non-finite values, count < 1), repeats an
+    earlier document's speaker id or differs from it in dimension, is a
+    SosidError naming the file.
+    """
     store = Path(store_dir)
     models = {}
     for path in sorted(store.glob("*.json")):
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        speaker_id, model, _ = model_from_dict(doc)
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            speaker_id, model, _ = model_from_dict(doc)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise SosidError(f"{path}: not a valid speaker model: {exc}") from None
+        if speaker_id in models:
+            raise SosidError(f"{path}: speaker id {speaker_id!r} is already in the store")
+        dim = next(iter(models.values()), model).dim
+        if model.dim != dim:
+            raise SosidError(
+                f"{path}: model dimension {model.dim} differs from the store's {dim}"
+            )
         models[speaker_id] = model
     if not models:
         raise SosidError(f"{store}: no speaker models (*.json) in model store")

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianModel, SpdFactorization, factorize
-from .measures import MU_G, SC_DECOMPOSITION, ModelStack, measure_matrix, stack_models
+from .gaussian import GaussianModel, ModelStack, SpdFactorization, factorize, stack_models
+from .measures import MU_G, SC_DECOMPOSITION, measure_matrix
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,8 @@ def identify(
     """Score a test model against every speaker and pick the argmin."""
     if test_fact is None:
         test_fact = factorize(test, allow_loading=registry.allow_loading)
-    values = score_matrix(registry, [test], [test_fact], kind, sc_convention)[0]
+    tests = stack_models([test], [test_fact])
+    values = score_matrix(registry, tests, kind, sc_convention)[0]
     decision = registry.ids[int(np.argmin(values))]
     scores = tuple(zip(registry.ids, values.tolist()))
     return ScoreSheet(test_id=test_id, scores=scores, decision=decision)
@@ -101,17 +102,14 @@ def identify(
 
 def score_matrix(
     registry: SpeakerRegistry,
-    tests,
-    test_facts,
+    tests: ModelStack,
     kind: str,
     sc_convention: str = SC_DECOMPOSITION,
 ) -> np.ndarray:
     """(n_tests, n_speakers) matrix of measure values against a registry."""
     if len(registry) == 0:
         raise ValueError("cannot score against an empty registry")
-    return measure_matrix(
-        kind, registry.stack(), stack_models(tests, test_facts), sc_convention
-    )
+    return measure_matrix(kind, registry.stack(), tests, sc_convention)
 
 
 def decisions_from_scores(registry: SpeakerRegistry, values: np.ndarray) -> list:

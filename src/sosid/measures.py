@@ -32,11 +32,9 @@ scalar functions (:func:`evaluate`, :func:`mu_g`, :func:`mu_gc`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .gaussian import GaussianModel, SpdFactorization, factorize
+from .gaussian import GaussianModel, ModelStack, SpdFactorization, factorize, stack_models
 
 MU_G = "mu_g"
 MU_GC = "mu_gc"
@@ -47,33 +45,8 @@ SC_DECOMPOSITION = "decomposition"
 SC_AS_PRINTED = "as-printed"
 SC_CONVENTIONS = (SC_DECOMPOSITION, SC_AS_PRINTED)
 
-
-@dataclass(frozen=True)
-class ModelStack:
-    """Models and their factorizations stacked along a leading axis."""
-
-    means: np.ndarray
-    covs: np.ndarray
-    counts: np.ndarray
-    inverses: np.ndarray
-    log_dets: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
-
-
-def stack_models(models, facts) -> ModelStack:
-    """Stack parallel sequences of models and their factorizations."""
-    models = list(models)
-    facts = list(facts)
-    return ModelStack(
-        means=np.stack([m.mean for m in models]),
-        covs=np.stack([m.cov for m in models]),
-        counts=np.array([m.count for m in models], dtype=float),
-        inverses=np.stack([f.inverse for f in facts]),
-        log_dets=np.array([f.log_det for f in facts]),
-    )
+# Tests per pass of the mu_g mean term; bounds its work buffer.
+_QUAD_CHUNK = 64
 
 
 def measure_matrix(
@@ -94,8 +67,11 @@ def measure_matrix(
     total = refs.counts[None, :] + tests.counts[:, None]
     a = refs.counts[None, :] / total
     b = tests.counts[:, None] / total
-    tr1 = np.einsum("tij,rji->tr", tests.covs, refs.inverses)
-    tr2 = np.einsum("rij,tji->tr", refs.covs, tests.inverses)
+    # Inverses are exactly symmetric, so tr(Y X^-1) = <Y, X^-1> and both
+    # traces are (n_tests, p^2) @ (p^2, n_refs) products.
+    n_t, n_r = len(tests), len(refs)
+    tr1 = tests.covs.reshape(n_t, p * p) @ refs.inverses.reshape(n_r, p * p).T
+    tr2 = tests.inverses.reshape(n_t, p * p) @ refs.covs.reshape(n_r, p * p).T
     ldr = tests.log_dets[:, None] - refs.log_dets[None, :]
 
     if kind == MU_SC:
@@ -107,9 +83,22 @@ def measure_matrix(
     values = (a * tr1 + b * tr2 - (a - b) * ldr) / p - 1.0
     if kind == MU_G:
         diff = tests.means[:, None, :] - refs.means[None, :, :]
-        quad_ref = np.einsum("trp,rpq,trq->tr", diff, refs.inverses, diff)
-        quad_test = np.einsum("trp,tpq,trq->tr", diff, tests.inverses, diff)
-        values = values + (a * quad_ref + b * quad_test) / p
+        quad_ref = np.empty_like(values)
+        quad_test = np.empty_like(values)
+        # The work buffer holds at most _QUAD_CHUNK tests, so diff stays the
+        # only (n_tests, n_refs, p) array.
+        work = np.empty((min(n_t, _QUAD_CHUNK), n_r, p))
+        for lo in range(0, n_t, _QUAD_CHUNK):
+            rows = slice(lo, lo + _QUAD_CHUNK)
+            d = diff[rows]
+            w = work[: len(d)]
+            # diff^T Y^-1 diff, batched over tests
+            np.matmul(d, tests.inverses[rows], out=w)
+            quad_test[rows] = np.einsum("trp,trp->tr", w, d)
+            # diff^T X^-1 diff, batched over references through transposed views
+            np.matmul(d.transpose(1, 0, 2), refs.inverses, out=w.transpose(1, 0, 2))
+            quad_ref[rows] = np.einsum("trp,trp->tr", w, d)
+        values += (a * quad_ref + b * quad_test) / p
     return values
 
 

@@ -17,7 +17,7 @@ fixed-length tests, dropping the remainder.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -287,11 +287,14 @@ def select_frames(
 
 @dataclass(frozen=True)
 class TestAssembly:
-    """Fixed-length test blocks cut from one speaker's pooled frames."""
+    """Fixed-length test blocks cut from one speaker's pooled frames.
+
+    ``tests`` is a (n_tests, test_len, p) view of the pooled frames.
+    """
 
     speaker_id: str
     selector: str
-    tests: tuple = field(default_factory=tuple)
+    tests: np.ndarray
 
     def __len__(self) -> int:
         return len(self.tests)
@@ -312,7 +315,5 @@ def assemble_tests(
         raise ValueError(f"test_len must be >= 1, got {test_len}")
     vectors = _frame_matrix(features)
     n_tests = len(vectors) // test_len
-    tests = tuple(
-        vectors[i * test_len : (i + 1) * test_len] for i in range(n_tests)
-    )
+    tests = vectors[: n_tests * test_len].reshape(n_tests, test_len, vectors.shape[1])
     return TestAssembly(speaker_id=speaker_id, selector=selector, tests=tests)

@@ -115,6 +115,44 @@ class TestTrainAndIdentify:
         assert code == 2
         assert str(store) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: {**doc, "mean": [math.nan] + doc["mean"][1:]},
+            lambda doc: {**doc, "mean": doc["mean"][:1] + [math.inf] + doc["mean"][2:]},
+            lambda doc: {**doc, "covariance": [math.nan] + doc["covariance"][1:]},
+            lambda doc: {k: v for k, v in doc.items() if k != "covariance"},
+            lambda doc: {**doc, "covariance": doc["covariance"][:-1]},
+            lambda doc: {**doc, "count": 0},
+            lambda doc: {**doc, "id": "spk000"},
+            lambda doc: {
+                **doc,
+                "mean": doc["mean"][:-1],
+                "covariance": np.reshape(doc["covariance"], (len(doc["mean"]),) * 2)[
+                    :-1, :-1
+                ].ravel().tolist(),
+            },
+        ],
+        ids=[
+            "nan-mean",
+            "inf-mean",
+            "nan-cov",
+            "missing-key",
+            "short-cov",
+            "zero-count",
+            "duplicate-id",
+            "other-dim",
+        ],
+    )
+    def test_bad_store_document_is_data_error(self, corpus_dir, tmp_path, capsys, corrupt):
+        store = tmp_path / "store"
+        main(["train", "--manifest", str(corpus_dir / "manifest.json"), "--out", str(store)])
+        path = store / "spk001.json"
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        features = str(corpus_dir / "spk000" / "s000.csv")
+        assert main(["identify", "--store", str(store), features]) == 2
+        assert "spk001.json" in capsys.readouterr().err
+
     def test_non_finite_features_are_data_error(self, corpus_dir, tmp_path, capsys):
         store = tmp_path / "store"
         main(["train", "--manifest", str(corpus_dir / "manifest.json"), "--out", str(store)])

@@ -163,6 +163,34 @@ class TestDurationExperiment:
         assert report.cells[(2.0, 10.0, "mu_g")].n_tests == 3 * min(7, 2400 // 1000)
         assert report.cells[(2.0, 1.0, "mu_g")].n_tests == 3 * min(7, 2400 // 100)
 
+    def test_speakers_without_tests_and_empty_cells(self):
+        speakers = _easy_corpus(n_speakers=2, frames=2600).speakers
+        # 1820 frames: three 1 s tests after 15 s of training, no 10 s test
+        short = [(sid, sentences[:-3]) for sid, sentences in speakers]
+        cfg = DurationProtocolConfig(train_durations=(15.0,), test_durations=(10.0, 1.0))
+        # only the first speaker has a 10 s test
+        mixed = LoadedCorpus(speakers=(speakers[0], short[1]), seed=0)
+        report = run_duration_experiment(mixed, cfg)
+        for kind in ("mu_g", "mu_gc", "mu_sc"):
+            assert report.cells[(15.0, 10.0, kind)] == ReportCell(100.0, 100.0, 1)
+            assert report.cells[(15.0, 1.0, kind)].n_tests == 11 + 3
+        # no speaker has a 10 s test
+        report = run_duration_experiment(LoadedCorpus(speakers=tuple(short), seed=0), cfg)
+        for kind in ("mu_g", "mu_gc", "mu_sc"):
+            assert report.cells[(15.0, 10.0, kind)] == ReportCell(0.0, 0.0, 0)
+            assert report.cells[(15.0, 1.0, kind)].n_tests == 3 + 3
+
+    def test_cells_count_loaded_tests(self):
+        # 5-frame tests at dimension 8 are rank deficient and need loading
+        cfg = DurationProtocolConfig(train_durations=(15.0,), test_durations=(10.0, 0.05))
+        with pytest.warns(RuntimeWarning, match="rank deficient"):
+            report = run_duration_experiment(_easy_corpus(), cfg)
+        for kind in ("mu_g", "mu_gc", "mu_sc"):
+            assert report.cells[(15.0, 10.0, kind)].n_loaded == 0
+            cell = report.cells[(15.0, 0.05, kind)]
+            assert cell.n_tests == 2 * 20
+            assert cell.n_loaded == cell.n_tests
+
     def test_cell_order_matches_grid_conventions(self):
         cfg = DurationProtocolConfig(train_durations=(2.0, 6.0), test_durations=(1.0, 3.0))
         report = run_duration_experiment(_easy_corpus(), cfg)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sosid.gaussian import (
     ModelAccumulator,
     factorize,
     load_model_store,
+    stack_blocks,
     model_from_dict,
     model_to_dict,
     save_model_store,
@@ -166,6 +168,13 @@ class TestGaussianModel:
         with pytest.raises(ValueError):
             GaussianModel(mean=[0.0], cov=[[1.0]], count=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianModel(mean=[0.0, bad], cov=np.eye(2), count=10)
+        with pytest.raises(ValueError, match="finite"):
+            GaussianModel(mean=[0.0, 0.0], cov=[[1.0, 0.0], [0.0, bad]], count=10)
+
 
 class TestFactorize:
     def test_identity(self):
@@ -210,6 +219,83 @@ class TestFactorize:
     def test_zero_matrix_rejected_even_with_loading(self):
         with pytest.raises(NotPositiveDefiniteError):
             factorize(np.zeros((3, 3)))
+
+
+def _blocks_of(frames, n_blocks, block_len):
+    return frames[: n_blocks * block_len].reshape(n_blocks, block_len, frames.shape[1])
+
+
+class TestStackBlocks:
+    """The batch builder equals from_frames + factorize, block by block."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**16),
+        dim=st.integers(1, 8),
+        block_len=st.integers(1, 30),
+        set_sizes=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+        offset=st.sampled_from([0.0, 20.0]),
+        allow_loading=st.booleans(),
+    )
+    def test_matches_scalar_path(self, seed, dim, block_len, set_sizes, offset, allow_loading):
+        rng = np.random.default_rng(seed)
+        sets = [
+            _blocks_of(rng.standard_normal((n * block_len, dim)) + offset, n, block_len)
+            for n in set_sizes
+        ]
+        blocks = [block for blocks in sets for block in blocks]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # block_len <= dim
+            try:
+                models = [GaussianModel.from_frames(b, allow_loading) for b in blocks]
+            except DegenerateModelError:  # 1 frame, or rank deficient without loading
+                with pytest.raises(DegenerateModelError):
+                    stack_blocks(sets, allow_loading=allow_loading)
+                return
+            stack = stack_blocks(sets, allow_loading=allow_loading)
+        facts = [factorize(model) for model in models]
+        assert len(stack) == len(blocks) == sum(set_sizes)
+        assert stack.means.shape == (len(blocks), dim)
+        for i, (model, fact) in enumerate(zip(models, facts)):
+            assert stack.counts[i] == model.count == block_len
+            np.testing.assert_array_equal(stack.means[i], model.mean)
+            np.testing.assert_array_equal(stack.covs[i], model.cov)
+            np.testing.assert_array_equal(stack.inverses[i], fact.inverse)
+            assert stack.log_dets[i] == fact.log_det
+            assert stack.loadings[i] == fact.loading
+
+    def test_rank_deficient_block_is_loaded_alone(self):
+        rng = np.random.default_rng(13)
+        good = _blocks_of(rng.standard_normal((3 * 40, 6)), 3, 40)
+        short = rng.standard_normal((2, 4, 6))  # 4 frames at dimension 6: rank 3
+        with pytest.warns(RuntimeWarning, match="rank deficient"):
+            stack = stack_blocks([good, short])
+        with pytest.warns(RuntimeWarning):
+            facts = [factorize(GaussianModel.from_frames(b)) for b in short]
+        np.testing.assert_array_equal(stack.loadings[:3], 0.0)
+        assert all(fact.loading > 0.0 for fact in facts)
+        np.testing.assert_array_equal(stack.loadings[3:], [f.loading for f in facts])
+        np.testing.assert_array_equal(stack.inverses[3:], [f.inverse for f in facts])
+        np.testing.assert_array_equal(stack.log_dets[3:], [f.log_det for f in facts])
+        for i, block in enumerate(good):
+            fact = factorize(GaussianModel.from_frames(block))
+            np.testing.assert_array_equal(stack.inverses[i], fact.inverse)
+
+    def test_rank_deficient_without_loading_is_degenerate(self):
+        short = np.random.default_rng(14).standard_normal((1, 4, 6))
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(DegenerateModelError):
+                stack_blocks([short], allow_loading=False)
+
+    def test_one_frame_blocks_are_degenerate(self):
+        with pytest.raises(DegenerateModelError, match="at least 2"):
+            stack_blocks([np.ones((3, 1, 4))])
+
+    def test_empty_sets_give_empty_stack(self):
+        stack = stack_blocks([np.empty((0, 100, 5)), np.empty((0, 100, 5))])
+        assert len(stack) == 0
+        assert stack.dim == 5
+        assert stack.covs.shape == (0, 5, 5)
 
 
 class TestModelStore:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sosid.gaussian import GaussianModel, factorize
+from sosid.gaussian import GaussianModel, factorize, stack_models
 from sosid.identify import (
     SpeakerRegistry,
     decisions_from_scores,
@@ -170,7 +170,7 @@ class TestScoreMatrix:
             registry.register(f"s{i}", model)
         tests = [_random_model(rng, 8) for _ in range(9)]
         facts = [factorize(m) for m in tests]
-        matrix = score_matrix(registry, tests, facts, kind, conv)
+        matrix = score_matrix(registry, stack_models(tests, facts), kind, conv)
         assert matrix.shape == (9, 6)
         for t, test in enumerate(tests):
             for r, ref in enumerate(refs):
@@ -187,7 +187,7 @@ class TestScoreMatrix:
         tests = [_random_model(rng, 6) for _ in range(20)]
         facts = [factorize(m) for m in tests]
         for kind in MEASURE_KINDS:
-            matrix = score_matrix(registry, tests, facts, kind)
+            matrix = score_matrix(registry, stack_models(tests, facts), kind)
             bulk = decisions_from_scores(registry, matrix)
             single = [identify(registry, m, kind).decision for m in tests]
             assert bulk == single

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from sosid.gaussian import GaussianModel, factorize
+from sosid.gaussian import GaussianModel, factorize, stack_blocks, stack_models
 from sosid.measures import (
+    _QUAD_CHUNK,
     MEASURE_KINDS,
     SC_AS_PRINTED,
     SC_DECOMPOSITION,
     evaluate,
+    measure_matrix,
     mu_g,
     mu_gc,
     mu_sc,
@@ -206,3 +208,26 @@ class TestDispatchAndErrors:
             lazy = evaluate(kind, ref, test)
             cached = evaluate(kind, ref, test, ref_fact=rf, test_fact=tf)
             assert lazy == cached
+
+
+def _stack(models):
+    return stack_models(models, [factorize(m) for m in models])
+
+
+class TestMeasureMatrix:
+    @pytest.mark.parametrize("kind", MEASURE_KINDS)
+    def test_empty_test_stack_gives_empty_rows(self, kind):
+        rng = np.random.default_rng(6)
+        refs = _stack([_random_pair(rng, 4)[0] for _ in range(3)])
+        tests = stack_blocks([np.empty((0, 50, 4))])
+        assert measure_matrix(kind, refs, tests).shape == (0, 3)
+
+    @pytest.mark.parametrize("kind", MEASURE_KINDS)
+    def test_rows_past_the_mean_term_chunk_match_one_row_calls(self, kind):
+        rng = np.random.default_rng(7)
+        refs = _stack([_random_pair(rng, 5)[0] for _ in range(4)])
+        tests = [_random_pair(rng, 5)[1] for _ in range(2 * _QUAD_CHUNK + 3)]
+        matrix = measure_matrix(kind, refs, _stack(tests))
+        for t, test in enumerate(tests):
+            row = measure_matrix(kind, refs, _stack([test]))[0]
+            np.testing.assert_allclose(matrix[t], row, rtol=1e-12, atol=1e-12)
