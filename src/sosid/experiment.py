@@ -30,14 +30,26 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigurationError, InsufficientDataError
+from .errors import (
+    AlignmentError,
+    ConfigurationError,
+    DegenerateModelError,
+    InsufficientDataError,
+    NotPositiveDefiniteError,
+)
 from .frontend import (
     FrontendConfig,
     extract_features,
     load_features_csv,
     load_wav,
 )
-from .gaussian import GaussianModel, stack_blocks
+from .gaussian import (
+    GaussianModel,
+    SegmentMoments,
+    models_from_moments,
+    stack_blocks,
+    stack_moments,
+)
 from .identify import SpeakerRegistry, decisions_from_scores, score_matrix
 from .measures import MEASURE_KINDS, SC_CONVENTIONS, SC_DECOMPOSITION
 from .phonetic import (
@@ -174,6 +186,13 @@ class DurationProtocolConfig:
             raise ConfigurationError(f"unknown mu_sc convention {self.sc_convention!r}")
         if self.frames_per_second < 1:
             raise ConfigurationError("frames_per_second must be >= 1")
+        for duration in self.train_durations + self.test_durations:
+            frames = round(duration * self.frames_per_second)
+            if frames < 2:
+                raise ConfigurationError(
+                    f"duration {duration:g} s is {frames} frame(s) at "
+                    f"{self.frames_per_second} frames per second; a model needs at least 2"
+                )
 
     def digest(self) -> str:
         payload = json.dumps(
@@ -227,32 +246,38 @@ def compute_metrics(results) -> tuple:
     return global_accuracy, sum(speaker_means) / len(speaker_means)
 
 
-def _speaker_streams(corpus: LoadedCorpus):
-    """Seeded random concatenation of each speaker's sentences.
+def _speaker_stream(corpus: LoadedCorpus, index: int):
+    """Seeded random concatenation of the sentences of the corpus's index-th speaker.
 
-    Returns (speaker_id, concatenated frames, ordered (offset, sentence)
-    pairs) triples; the same corpus seed always yields the same order, so
-    the duration and phonetic protocols see identical training material.
+    Returns the concatenated frames and the ordered (offset, sentence)
+    pairs; the same corpus seed always yields the same order, so the
+    duration and phonetic protocols see identical training material.
     """
-    streams = []
-    for index, (speaker_id, sentences) in enumerate(corpus.speakers):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([corpus.seed, _SHUFFLE_STREAM, index])
-        )
-        order = rng.permutation(len(sentences))
-        placed = []
-        offset = 0
-        for sentence_index in order:
-            sentence = sentences[sentence_index]
-            placed.append((offset, sentence))
-            offset += len(sentence.frames)
-        concat = (
-            np.concatenate([sentence.frames for _, sentence in placed])
-            if placed
-            else np.empty((0, 0))
-        )
-        streams.append((speaker_id, concat, placed))
-    return streams
+    _, sentences = corpus.speakers[index]
+    rng = np.random.default_rng(
+        np.random.SeedSequence([corpus.seed, _SHUFFLE_STREAM, index])
+    )
+    order = rng.permutation(len(sentences))
+    placed = []
+    offset = 0
+    for sentence_index in order:
+        sentence = sentences[sentence_index]
+        placed.append((offset, sentence))
+        offset += len(sentence.frames)
+    concat = (
+        np.concatenate([sentence.frames for _, sentence in placed])
+        if placed
+        else np.empty((0, 0))
+    )
+    return concat, placed
+
+
+def _speaker_streams(corpus: LoadedCorpus):
+    """(speaker_id, concatenated frames, placed sentences) of every speaker."""
+    return [
+        (speaker_id, *_speaker_stream(corpus, index))
+        for index, (speaker_id, _) in enumerate(corpus.speakers)
+    ]
 
 
 def _cell_from_results(
@@ -300,18 +325,32 @@ def run_duration_experiment(
     train_grid = sorted(set(cfg.train_durations), reverse=True)
     test_grid = sorted(set(cfg.test_durations), reverse=True)
     kinds = _ordered_measures(cfg.measures)
-    streams = _speaker_streams(corpus)
+    cap = cfg.max_tests_per_speaker
+    train_frames = [round(train_s * fps) for train_s in train_grid]
+    test_frames = [round(test_s * fps) for test_s in test_grid]
 
-    max_train_f = round(max(train_grid) * fps)
-    min_test_f = round(min(test_grid) * fps)
-    for speaker_id, concat, _ in streams:
-        needed = max_train_f + min_test_f
-        if len(concat) < needed:
+    ids = [speaker_id for speaker_id, _ in corpus.speakers]
+    n_frames = [sum(len(s.frames) for s in sentences) for _, sentences in corpus.speakers]
+    needed = max(train_frames) + min(test_frames)
+    for speaker_id, n in zip(ids, n_frames):
+        if n < needed:
             raise InsufficientDataError(
-                f"speaker {speaker_id}: {len(concat)} frames < {needed} needed "
+                f"speaker {speaker_id}: {n} frames < {needed} needed "
                 f"for {max(train_grid):g} s training plus one {min(test_grid):g} s test"
             )
 
+    def cut_streams():
+        # every edge of every cell; only the segment moments outlive the stream
+        for index, n in enumerate(n_frames):
+            concat, _ = _speaker_stream(corpus, index)
+            edges = [
+                _test_bounds(n, train_f, test_f, cap)
+                for train_f in train_frames
+                for test_f in test_frames
+            ]
+            yield concat, np.concatenate(edges)
+
+    moments = SegmentMoments(cut_streams())
     report = ExperimentReport(
         axes=("train_s", "test_s", "measure"),
         metadata={
@@ -320,29 +359,35 @@ def run_duration_experiment(
             "config": cfg.digest(),
         },
     )
-    for train_s in train_grid:
-        train_f = round(train_s * fps)
-        registry = SpeakerRegistry()
-        for speaker_id, concat, _ in streams:
-            registry.register(speaker_id, GaussianModel.from_frames(concat[:train_f]))
-        for test_s in test_grid:
-            test_f = round(test_s * fps)
-            owners = []
-            blocks = []
-            for speaker_id, concat, _ in streams:
-                n_blocks = min(
-                    cfg.max_tests_per_speaker, (len(concat) - train_f) // test_f
-                )
-                # tests start at train_f, so they never reach into training frames
-                tested = concat[train_f : train_f + n_blocks * test_f]
-                blocks.append(tested.reshape(n_blocks, test_f, concat.shape[1]))
-                owners.extend([speaker_id] * n_blocks)
-            cells = _score_cells(
-                registry, stack_blocks(blocks), owners, kinds, cfg.sc_convention
-            )
+    for train_s, train_f in zip(train_grid, train_frames):
+        training = moments.spans([[0, train_f]] * len(ids))
+        registry = _reference_registry(ids, training, train_f)
+        for test_s, test_f in zip(test_grid, test_frames):
+            bounds = [_test_bounds(n, train_f, test_f, cap) for n in n_frames]
+            owners = [sid for sid, b in zip(ids, bounds) for _ in range(len(b) - 1)]
+            tests = stack_moments(moments.spans(bounds))
+            cells = _score_cells(registry, tests, owners, kinds, cfg.sc_convention)
             for kind, cell in cells.items():
                 report.cells[(train_s, test_s, kind)] = cell
     return report
+
+
+def _test_bounds(n_frames: int, train_f: int, test_f: int, cap: int) -> np.ndarray:
+    """Edges of a speaker's consecutive test blocks after ``train_f`` training frames."""
+    n_blocks = min(cap, (n_frames - train_f) // test_f)
+    # tests start at train_f, so they never reach into training frames
+    return train_f + test_f * np.arange(n_blocks + 1)
+
+
+def _reference_registry(ids, moments, train_f: int) -> SpeakerRegistry:
+    """Registry of one model per speaker from the raw moments of its training frames."""
+    models = models_from_moments(moments)
+    try:
+        return SpeakerRegistry.from_models(dict(zip(ids, models)))
+    except NotPositiveDefiniteError as exc:
+        raise DegenerateModelError(
+            f"covariance from {train_f} vectors is not positive definite: {exc}"
+        ) from exc
 
 
 def run_phonetic_experiment(

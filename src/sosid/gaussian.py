@@ -43,7 +43,8 @@ class GaussianModel:
             )
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("mean and cov must be finite")
-        if not np.allclose(cov, cov.T, rtol=1e-8, atol=1e-12):
+        # np.allclose(cov, cov.T, rtol=1e-8, atol=1e-12), without its overhead
+        if not np.all(abs(cov - cov.T) <= 1e-12 + 1e-8 * abs(cov.T)):
             raise ValueError("cov must be symmetric")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
@@ -192,16 +193,37 @@ def factorize(
     loading_scale * trace(cov) / p is attempted when allow_loading is set;
     the applied amount is reported through the result's ``loading`` field.
     """
-    cov = model.cov if isinstance(model, GaussianModel) else np.asarray(model, dtype=float)
+    return factorize_all([model], allow_loading, loading_scale)[0]
+
+
+def factorize_all(
+    models,
+    allow_loading: bool = True,
+    loading_scale: float = DEFAULT_LOADING_SCALE,
+) -> list:
+    """:func:`factorize` of each model (or raw SPD matrix) of a sequence, as one batch.
+
+    Each result is bit for bit what :func:`factorize` gives alone; the first
+    matrix that fails even after loading raises NotPositiveDefiniteError.
+    """
+    covs = [
+        m.cov if isinstance(m, GaussianModel) else np.asarray(m, dtype=float)
+        for m in models
+    ]
+    if not covs:
+        return []
     factors, loadings, log_dets, inverses = _factorize_stack(
-        cov[None], allow_loading, loading_scale
+        np.stack(covs), allow_loading, loading_scale
     )
-    return SpdFactorization(
-        factor=factors[0],
-        log_det=float(log_dets[0]),
-        inverse=inverses[0],
-        loading=float(loadings[0]),
-    )
+    return [
+        SpdFactorization(
+            factor=factors[i],
+            log_det=float(log_dets[i]),
+            inverse=inverses[i],
+            loading=float(loadings[i]),
+        )
+        for i in range(len(factors))
+    ]
 
 
 def _cholesky_with_loading(cov, allow_loading: bool, loading_scale: float):
@@ -283,30 +305,109 @@ def stack_models(models, facts) -> ModelStack:
     )
 
 
-def _block_moments(block_sets):
-    """Raw moment sums and frame counts of every block, in block order."""
-    sums, outers, counts = [], [], []
-    for blocks in block_sets:
-        blocks = np.asarray(blocks, dtype=float)
-        n, frames, dim = blocks.shape
-        if n:
-            _check_count(frames, dim)
-        sums.append(blocks.sum(axis=1))
-        outers.append(np.swapaxes(blocks, 1, 2) @ blocks)
-        counts.append(np.full(n, float(frames)))
-    return np.concatenate(sums), np.concatenate(outers), np.concatenate(counts)
+def _raw_moments(blocks):
+    """Frame sums and X^T X of each block of a (n_blocks, frames, p) array."""
+    return blocks.sum(axis=1), np.swapaxes(blocks, 1, 2) @ blocks
 
 
-def stack_blocks(block_sets, allow_loading: bool = True) -> ModelStack:
-    """Estimate and factorize one model per frame block, as one batch.
+def _block_moments(blocks):
+    """Raw moment sums and frame counts of each block of a (n_blocks, frames, p) array."""
+    blocks = np.asarray(blocks, dtype=float)
+    n, frames, dim = blocks.shape
+    if n:
+        _check_count(frames, dim)
+    return (*_raw_moments(blocks), np.full(n, float(frames)))
 
-    ``block_sets`` is an iterable of (n_blocks, frames, p) arrays, typically
-    zero-copy reshapes of each speaker's frames. They are consumed one at a
-    time, so a generator keeps only one set alive. Block by block, the
-    result is what :meth:`GaussianModel.from_frames` and :func:`factorize`
-    give, with the same count checks and loading policy.
+
+class SegmentMoments:
+    """Raw moments of frame streams, each cut once at a fixed set of edges.
+
+    The moments of the frames between two edges of a stream are the ordered
+    sum of the moments of the segments between them, so models over many
+    overlapping runs of a stream cost a single pass over its frames.
+    ``streams`` yields (frames, edges) pairs and is consumed one pair at a
+    time; only the segment moments are kept.
     """
-    sums, outers, counts = _block_moments(block_sets)
+
+    def __init__(self, streams):
+        self.edges, self.first_segment = [], []
+        sums, outers = [], []
+        n_segments = 0
+        for frames, edges in streams:
+            frames = np.asarray(frames, dtype=float)
+            edges = np.union1d(0, edges).astype(np.intp)
+            lengths = np.diff(edges)
+            # consecutive segments of equal length share one batched moment call
+            runs = np.split(np.arange(len(lengths)), np.flatnonzero(np.diff(lengths)) + 1)
+            for run in runs:
+                start, stop = edges[run[0]], edges[run[-1] + 1]
+                shape = (len(run), lengths[run[0]], frames.shape[1])
+                blocks = frames[start:stop].reshape(shape)
+                run_sums, run_outers = _raw_moments(blocks)
+                sums.append(run_sums)
+                outers.append(run_outers)
+            self.edges.append(edges)
+            self.first_segment.append(n_segments)
+            n_segments += len(lengths)
+        # a trailing zero segment pads the spans that have fewer segments
+        self.sums = np.concatenate([*sums, np.zeros_like(sums[0][:1])])
+        self.outers = np.concatenate([*outers, np.zeros_like(outers[0][:1])])
+
+    def spans(self, bounds):
+        """Raw moments of frames[b[i]:b[i + 1]] for each stream's bounds b.
+
+        ``bounds`` holds an increasing sequence of edges per stream, in
+        stream order; the spans come out stream by stream. Each stream's
+        spans pass the count checks of a set of frame blocks: fewer than 2
+        frames is an error, fewer than p + 1 a warning.
+        """
+        starts, stops, counts = [], [], []
+        for edges, first, stream_bounds in zip(self.edges, self.first_segment, bounds):
+            stream_bounds = np.asarray(stream_bounds, dtype=np.intp)
+            index = np.searchsorted(edges, stream_bounds)
+            if not np.array_equal(edges[np.minimum(index, len(edges) - 1)], stream_bounds):
+                raise ValueError(f"span bounds {stream_bounds.tolist()} are not all edges")
+            lengths = np.diff(stream_bounds)
+            for count in dict.fromkeys(lengths.tolist()):
+                _check_count(count, self.sums.shape[1])
+            starts.append(first + index[:-1])
+            stops.append(first + index[1:])
+            counts.append(lengths)
+        starts = np.concatenate(starts)
+        widths = np.concatenate(stops) - starts
+        sums, outers = self.sums[starts], self.outers[starts]
+        # add each span's next segment in order, all spans at once; x + 0.0
+        # is exactly x, so padding leaves the narrower spans' sums unchanged
+        for j in range(1, widths.max(initial=1)):
+            index = np.where(widths > j, starts + j, len(self.sums) - 1)
+            sums += self.sums[index]
+            outers += self.outers[index]
+        return sums, outers, np.concatenate(counts).astype(float)
+
+
+def models_from_moments(moments) -> list:
+    """One model per row of a (sums, outers, counts) raw moment triple.
+
+    The models are not factorized; a registry factorizes them once, as one
+    batch, when they are registered.
+    """
+    means, covs = _ml_moments(*moments)
+    return [
+        GaussianModel(mean=mean, cov=cov, count=int(count))
+        for mean, cov, count in zip(means, covs, moments[2])
+    ]
+
+
+def stack_moments(moments, allow_loading: bool = True) -> ModelStack:
+    """Estimate and factorize one model per row of a (sums, outers, counts) triple.
+
+    Raw sums are finalized with the one-pass ML formula of
+    :meth:`ModelAccumulator.finalize` and factorized as one batch under the
+    loading policy of :func:`factorize`; a covariance that does not
+    factorize even so is a DegenerateModelError.
+    """
+    sums, outers, counts = moments
+    del moments  # this frame's references are then the only ones to the raw sums
     means, covs = _ml_moments(sums, outers, counts)
     del sums, outers  # raw moments are not needed while factorizing
     try:
@@ -325,6 +426,24 @@ def stack_blocks(block_sets, allow_loading: bool = True) -> ModelStack:
         log_dets=log_dets,
         loadings=loadings,
     )
+
+
+def stack_blocks(block_sets, allow_loading: bool = True) -> ModelStack:
+    """Estimate and factorize one model per frame block, as one batch.
+
+    ``block_sets`` is an iterable of (n_blocks, frames, p) arrays, typically
+    zero-copy reshapes of each speaker's frames. They are consumed one at a
+    time, so a generator keeps only one set alive. Block by block, the result
+    is what :meth:`GaussianModel.from_frames` and :func:`factorize` give,
+    with the same count checks and loading policy.
+    """
+    return stack_moments(_concat_moments(map(_block_moments, block_sets)), allow_loading)
+
+
+def _concat_moments(moment_sets):
+    """One (sums, outers, counts) triple from a sequence of them, in order."""
+    sums, outers, counts = zip(*moment_sets)
+    return np.concatenate(sums), np.concatenate(outers), np.concatenate(counts)
 
 
 def model_to_dict(speaker_id: str, model: GaussianModel, config_hash: str = "") -> dict:

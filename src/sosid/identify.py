@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianModel, ModelStack, SpdFactorization, factorize, stack_models
+from .gaussian import (
+    GaussianModel,
+    ModelStack,
+    SpdFactorization,
+    factorize,
+    factorize_all,
+    stack_models,
+)
 from .measures import MU_G, SC_DECOMPOSITION, measure_matrix
 
 
@@ -37,10 +44,15 @@ class SpeakerRegistry:
 
     @classmethod
     def from_models(cls, models, allow_loading: bool = True) -> "SpeakerRegistry":
-        """Build a registry from an ordered id -> model mapping."""
+        """Build a registry from an ordered id -> model mapping.
+
+        The models are factorized as one batch, each exactly as
+        :meth:`register` would factorize it.
+        """
         registry = cls(allow_loading=allow_loading)
-        for speaker_id, model in models.items():
-            registry.register(speaker_id, model)
+        registry._models = dict(models)
+        facts = factorize_all(registry._models.values(), allow_loading=allow_loading)
+        registry._facts = dict(zip(registry._models, facts))
         return registry
 
     def __len__(self) -> int:

@@ -285,6 +285,19 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_duration_under_two_frames_is_data_error(self, corpus_dir, tmp_path, capsys):
+        config = tmp_path / "short.json"
+        config.write_text(json.dumps({"test_durations": [0.004]}))
+        code = main(
+            [
+                "eval-duration",
+                "--manifest", str(corpus_dir / "manifest.json"),
+                "--config", str(config),
+            ]
+        )
+        assert code == 2
+        assert "duration 0.004 s" in capsys.readouterr().err
+
     def test_unknown_frontend_config_key_is_data_error(self, tmp_path):
         config = tmp_path / "fc.json"
         config.write_text(json.dumps({"frame_length": 512}))

@@ -1,6 +1,11 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sosid import experiment
 from sosid.errors import (
     AlignmentError,
     ConfigurationError,
@@ -22,6 +27,7 @@ from sosid.experiment import (
     run_duration_experiment,
     run_phonetic_experiment,
 )
+from sosid.gaussian import GaussianModel, stack_blocks
 from sosid.phonetic import assemble_tests, default_taxonomy, expand_kernels, select_frames
 from sosid.synthetic import SynthCorpusConfig, make_corpus, write_corpus
 
@@ -191,6 +197,14 @@ class TestDurationExperiment:
             assert cell.n_tests == 2 * 20
             assert cell.n_loaded == cell.n_tests
 
+    @pytest.mark.parametrize(
+        "durations", [{"test_durations": (1.0, 0.004)}, {"train_durations": (0.01,)}]
+    )
+    def test_durations_under_two_frames_rejected(self, durations):
+        with pytest.raises(ConfigurationError, match=r"duration 0\.0(04|1) s is [01] frame"):
+            DurationProtocolConfig(**durations)
+        DurationProtocolConfig(test_durations=(0.02,))  # 2 frames at 100 fps
+
     def test_cell_order_matches_grid_conventions(self):
         cfg = DurationProtocolConfig(train_durations=(2.0, 6.0), test_durations=(1.0, 3.0))
         report = run_duration_experiment(_easy_corpus(), cfg)
@@ -223,6 +237,99 @@ class TestDurationExperiment:
         )
         report = run_duration_experiment(_easy_corpus(), cfg)
         assert list(report.cells) == [(6.0, 1.0, "mu_gc")]
+
+
+@st.composite
+def _grids(draw):
+    """A random small corpus and duration grid at 100 frames per second.
+
+    Durations are hundredths of a second, so most are not whole seconds and
+    the cells' block edges interleave. Test blocks are either long enough
+    for a full-rank covariance or 2-3 frames at dimension 7-9, rank deficient
+    by at least 5, so diagonal loading is needed whichever way the moments
+    are summed.
+    """
+    dim = draw(st.integers(7, 9))
+    short = st.integers(2, 3)
+    long = st.integers(dim + 2, 60)
+    train_fs = draw(st.lists(long, min_size=1, max_size=3, unique=True))
+    test_fs = draw(st.lists(st.one_of(short, long), min_size=1, max_size=3, unique=True))
+    cap = draw(st.integers(1, 6))
+    needed = max(train_fs) + min(test_fs)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    offset = draw(st.sampled_from([0.0, 20.0]))
+    speakers = []
+    for i in range(draw(st.integers(2, 3))):
+        total = needed + draw(st.integers(0, 150))
+        cuts = np.sort(rng.choice(np.arange(1, total), size=3, replace=False))
+        frames = rng.standard_normal((total, dim)) * (1 + i) + offset
+        sentences = tuple(LoadedSentence(frames=part) for part in np.split(frames, cuts))
+        speakers.append((f"spk{i}", sentences))
+    cfg = DurationProtocolConfig(
+        train_durations=tuple(f / 100 for f in train_fs),
+        test_durations=tuple(f / 100 for f in test_fs),
+        max_tests_per_speaker=cap,
+    )
+    return LoadedCorpus(speakers=tuple(speakers), seed=draw(st.integers(0, 99))), cfg
+
+
+def _assert_close_to_blocks(got, want):
+    """Means and covariances within 1e-10 of each model's covariance scale."""
+    scale = np.abs(want.covs).max(axis=(1, 2))
+    np.testing.assert_array_equal(got.counts, want.counts)
+    assert np.all(np.abs(got.covs - want.covs).max(axis=(1, 2)) <= 1e-10 * scale)
+    mean_scale = np.abs(want.means).max(axis=1) + np.sqrt(scale)
+    assert np.all(np.abs(got.means - want.means).max(axis=1) <= 1e-10 * mean_scale)
+
+
+class TestSegmentMomentsGrid:
+    """The duration protocol's models, summed from segment moments, equal
+    per-block estimates from the concatenated stream."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(_grids())
+    def test_models_match_per_block_estimates(self, case):
+        corpus, cfg = case
+        seen = []
+
+        def spy(registry, tests, owners, *args):
+            seen.append((registry, tests, list(owners)))
+            return score_cells(registry, tests, owners, *args)
+
+        score_cells = experiment._score_cells
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # short blocks
+            with mock.patch.object(experiment, "_score_cells", spy):
+                report = run_duration_experiment(corpus, cfg)
+
+            streams = experiment._speaker_streams(corpus)
+            cells = [
+                (train_s, test_s)
+                for train_s in sorted(set(cfg.train_durations), reverse=True)
+                for test_s in sorted(set(cfg.test_durations), reverse=True)
+            ]
+            assert len(seen) == len(cells)
+            for (train_s, test_s), (registry, tests, owners) in zip(cells, seen):
+                train_f, test_f = round(train_s * 100), round(test_s * 100)
+                for speaker_id, concat, _ in streams:
+                    want = GaussianModel.from_frames(concat[:train_f])
+                    got = registry.model(speaker_id)
+                    assert got.count == want.count
+                    error = np.abs(got.cov - want.cov).max()
+                    assert error <= 1e-10 * np.abs(want.cov).max()
+                blocks, want_owners = [], []
+                for speaker_id, concat, _ in streams:
+                    n = min(cfg.max_tests_per_speaker, (len(concat) - train_f) // test_f)
+                    block = concat[train_f : train_f + n * test_f]
+                    blocks.append(block.reshape(n, test_f, concat.shape[1]))
+                    want_owners += [speaker_id] * n
+                want = stack_blocks(blocks)
+                _assert_close_to_blocks(tests, want)
+                assert owners == want_owners
+                for kind in experiment._ordered_measures(cfg.measures):
+                    cell = report.cells[(train_s, test_s, kind)]
+                    assert cell.n_tests == len(want)
+                    assert cell.n_loaded == np.count_nonzero(want.loadings)
 
 
 def _labeled_corpus(seed=0, class_spread=0.0, n_speakers=3, frames=3000):

@@ -160,6 +160,19 @@ class TestGaussianModel:
         with pytest.raises(ValueError):
             GaussianModel(mean=[0.0, 0.0], cov=[[1.0, 0.5], [0.1, 1.0]], count=10)
 
+    @pytest.mark.parametrize("off", [1.0, 0.0, -3.0])
+    def test_symmetry_tolerance_edges(self, off):
+        # np.allclose(cov, cov.T, rtol=1e-8, atol=1e-12): |a - b| <= 1e-12 + 1e-8 |b|
+        tol = 1e-12 + 1e-8 * abs(off)
+        for scale, accepted in ((0.9, True), (1.1, False)):
+            cov = np.array([[2.0, off + scale * tol], [off, 2.0]])
+            assert np.allclose(cov, cov.T, rtol=1e-8, atol=1e-12) == accepted
+            if accepted:
+                GaussianModel(mean=[0.0, 0.0], cov=cov, count=10)
+            else:
+                with pytest.raises(ValueError, match="symmetric"):
+                    GaussianModel(mean=[0.0, 0.0], cov=cov, count=10)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             GaussianModel(mean=[0.0, 0.0], cov=np.eye(3), count=10)

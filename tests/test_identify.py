@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sosid.errors import NotPositiveDefiniteError
 from sosid.gaussian import GaussianModel, factorize, stack_models
 from sosid.identify import (
     SpeakerRegistry,
@@ -43,6 +44,35 @@ class TestRegistry:
         registry.register("a", _model(0.0, 1.0, 10))
         with pytest.raises(ValueError):
             registry.register("b", _model([0.0, 0.0], np.eye(2), 10))
+
+    def test_from_models_matches_register_exactly(self):
+        rng = np.random.default_rng(3)
+        models = {f"spk{i}": _random_model(rng, 6) for i in range(4)}
+        v = rng.standard_normal(6)
+        models["rank1"] = _model(np.zeros(6), np.outer(v, v), 10)  # needs loading
+        batch = SpeakerRegistry.from_models(models)
+        assert batch.ids == tuple(models)
+        assert batch.factorization("rank1").loading > 0.0
+        for speaker_id, model in models.items():
+            assert batch.model(speaker_id) is model
+            got, want = batch.factorization(speaker_id), factorize(model)
+            np.testing.assert_array_equal(got.factor, want.factor)
+            np.testing.assert_array_equal(got.inverse, want.inverse)
+            assert got.log_det == want.log_det
+            assert got.loading == want.loading
+
+    def test_from_models_rejects_non_pd_model(self):
+        rng = np.random.default_rng(4)
+        zero = _model(np.zeros(3), np.zeros((3, 3)), 10)
+        models = {"a": _random_model(rng, 3), "zero": zero}
+        with pytest.raises(NotPositiveDefiniteError) as batch:
+            SpeakerRegistry.from_models(models)
+        with pytest.raises(NotPositiveDefiniteError) as single:
+            factorize(models["zero"])
+        assert str(batch.value) == str(single.value)
+
+    def test_from_models_of_nothing_is_empty(self):
+        assert len(SpeakerRegistry.from_models({})) == 0
 
     def test_full_scale_registry(self):
         rng = np.random.default_rng(0)
