@@ -10,7 +10,6 @@ import numpy as np
 
 from sosid import (
     GaussianModel,
-    ModelAccumulator,
     factorize,
     mu_g,
     mu_gc,
@@ -29,9 +28,7 @@ mean_b, cov_b = random_speaker()
 
 def sample_model(mean, cov, n):
     frames = rng.standard_normal((n, p)) @ np.linalg.cholesky(cov).T + mean
-    acc = ModelAccumulator(p)
-    acc.extend(frames)
-    return acc.finalize()
+    return GaussianModel.from_frames(frames)
 
 ref = sample_model(mean_a, cov_a, 1500)    # like 15 s of training
 test_same = sample_model(mean_a, cov_a, 100)   # 1 s from the same speaker

@@ -37,7 +37,6 @@ from .frontend import (
 )
 from .gaussian import (
     GaussianModel,
-    ModelAccumulator,
     SpdFactorization,
     factorize,
     load_model_store,

@@ -15,7 +15,9 @@ import numpy as np
 
 from .errors import ConfigurationError, SosidError
 from .experiment import (
+    FRAMES_PER_SECOND,
     DurationProtocolConfig,
+    _seconds_to_frames,
     emit_report,
     load_corpus,
     load_manifest,
@@ -76,7 +78,7 @@ def _cmd_train(args) -> int:
     corpus = load_corpus(args.manifest, frontend_config=cfg)
     limit = None
     if args.train_seconds is not None:
-        limit = round(args.train_seconds * 100)
+        limit = _seconds_to_frames(args.train_seconds, FRAMES_PER_SECOND)
     models = {}
     for speaker_id, sentences in corpus.speakers:
         frames = [sentence.frames for sentence in sentences]
@@ -212,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="front-end config JSON")
     p.set_defaults(func=_cmd_extract, out_required=True)
 
-    p = sub.add_parser("train", parents=[common, seed], help="manifest to model store")
+    p = sub.add_parser("train", parents=[common], help="manifest to model store")
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", default=None, help="front-end config JSON (WAV manifests)")
     p.add_argument("--train-seconds", type=float, default=None)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,7 +45,6 @@ from .frontend import (
     load_wav,
 )
 from .gaussian import (
-    GaussianModel,
     SegmentMoments,
     models_from_moments,
     stack_blocks,
@@ -69,6 +69,19 @@ FRAMES_PER_SECOND = 100  # 10 ms frame period
 # Stream tag separating the sentence-shuffle RNG from data-generation RNGs
 # that may share the same corpus seed.
 _SHUFFLE_STREAM = 2
+
+
+def _seconds_to_frames(seconds: float, frames_per_second: int) -> int:
+    """Frames in ``seconds`` of material; a ConfigurationError naming it below 2."""
+    if not math.isfinite(seconds):
+        raise ConfigurationError(f"duration {seconds:g} s is not a finite number")
+    frames = round(seconds * frames_per_second)
+    if frames < 2:
+        raise ConfigurationError(
+            f"duration {seconds:g} s is {frames} frame(s) at "
+            f"{frames_per_second} frames per second; a model needs at least 2"
+        )
+    return frames
 
 
 @dataclass(frozen=True)
@@ -175,8 +188,6 @@ class DurationProtocolConfig:
     def __post_init__(self):
         if not self.train_durations or not self.test_durations:
             raise ConfigurationError("duration lists must be non-empty")
-        if any(d <= 0 for d in self.train_durations + self.test_durations):
-            raise ConfigurationError("durations must be positive")
         if self.max_tests_per_speaker < 1:
             raise ConfigurationError("max_tests_per_speaker must be >= 1")
         unknown = set(self.measures) - set(MEASURE_KINDS)
@@ -187,12 +198,7 @@ class DurationProtocolConfig:
         if self.frames_per_second < 1:
             raise ConfigurationError("frames_per_second must be >= 1")
         for duration in self.train_durations + self.test_durations:
-            frames = round(duration * self.frames_per_second)
-            if frames < 2:
-                raise ConfigurationError(
-                    f"duration {duration:g} s is {frames} frame(s) at "
-                    f"{self.frames_per_second} frames per second; a model needs at least 2"
-                )
+            _seconds_to_frames(duration, self.frames_per_second)
 
     def digest(self) -> str:
         payload = json.dumps(
@@ -404,6 +410,17 @@ def run_phonetic_experiment(
     frames_per_second: int = FRAMES_PER_SECOND,
 ) -> ExperimentReport:
     """Score phonetically biased one-second tests against unbiased training."""
+    train_f = _seconds_to_frames(train_seconds, frames_per_second)
+    if test_len < 2:
+        raise ConfigurationError(f"test length must be at least 2 frames, got {test_len}")
+    if min_tests < 0:
+        raise ConfigurationError(f"min_tests must be >= 0, got {min_tests}")
+    if pre_frames < 0 or post_frames < 0:
+        raise ConfigurationError(
+            f"kernel widening must be >= 0 frames, got pre {pre_frames}, post {post_frames}"
+        )
+    if sc_convention not in SC_CONVENTIONS:
+        raise ConfigurationError(f"unknown mu_sc convention {sc_convention!r}")
     if not isinstance(corpus, LoadedCorpus):
         corpus = load_corpus(corpus)
     if taxonomy is None:
@@ -412,15 +429,11 @@ def run_phonetic_experiment(
         selectors = CLASS_ORDER
     if len(corpus.speakers) < 2:
         raise InsufficientDataError("identification needs at least 2 speakers")
-    if sc_convention not in SC_CONVENTIONS:
-        raise ValueError(f"unknown mu_sc convention {sc_convention!r}")
     for selector in selectors:
         taxonomy.members(selector)  # fail fast on unknown selectors
     kinds = _ordered_measures(kinds)
 
-    train_f = round(train_seconds * frames_per_second)
     streams = _speaker_streams(corpus)
-    registry = SpeakerRegistry()
     segments_by_speaker = {}
     concat_by_speaker = {}
     for speaker_id, concat, placed in streams:
@@ -429,7 +442,6 @@ def run_phonetic_experiment(
                 f"speaker {speaker_id}: {len(concat)} frames < {train_f + test_len} "
                 f"needed for {train_seconds:g} s training plus one test"
             )
-        registry.register(speaker_id, GaussianModel.from_frames(concat[:train_f]))
         concat_by_speaker[speaker_id] = concat
         segments = []
         for offset, sentence in placed:
@@ -451,6 +463,10 @@ def run_phonetic_experiment(
                     assert abs_start >= train_f
                     segments.append((label, abs_start, abs_end))
         segments_by_speaker[speaker_id] = segments
+    # references as in the duration protocol, from their frames' raw moments
+    training = SegmentMoments((concat, [train_f]) for _, concat, _ in streams)
+    ids = [speaker_id for speaker_id, _, _ in streams]
+    registry = _reference_registry(ids, training.spans([[0, train_f]] * len(ids)), train_f)
 
     config_payload = {
         "train_seconds": train_seconds,

@@ -57,88 +57,17 @@ class GaussianModel:
 
     @classmethod
     def from_frames(cls, vectors, allow_loading: bool = True) -> "GaussianModel":
-        """Estimate a model from a (n_frames, p) array in one pass."""
-        vectors = np.asarray(vectors, dtype=float)
-        acc = ModelAccumulator(vectors.shape[1])
-        acc.extend(vectors)
-        return acc.finalize(allow_loading=allow_loading)
+        """Estimate a model from a (n_frames, p) array in one pass.
 
-
-class ModelAccumulator:
-    """Running first and second moment sums over observed vectors.
-
-    Accumulators over disjoint chunks of a stream can be merged; the
-    finalized model is identical (up to rounding) to a single pass over the
-    concatenated data, which is how phonetic segments are pooled.
-    """
-
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        self.dim = dim
-        self._sum = np.zeros(dim)
-        self._outer = np.zeros((dim, dim))
-        self._count = 0
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def accumulate(self, vector) -> "ModelAccumulator":
-        """Add a single observation."""
-        vector = np.asarray(vector, dtype=float)
-        if vector.shape != (self.dim,):
-            raise ValueError(
-                f"vector shape {vector.shape} does not match dimension {self.dim}"
-            )
-        self._sum += vector
-        self._outer += np.outer(vector, vector)
-        self._count += 1
-        return self
-
-    def extend(self, vectors) -> "ModelAccumulator":
-        """Add a (n, dim) block of observations in one shot."""
-        vectors = np.asarray(vectors, dtype=float)
-        if vectors.ndim != 2 or vectors.shape[1] != self.dim:
-            raise ValueError(
-                f"vectors shape {vectors.shape} does not match dimension {self.dim}"
-            )
-        self._sum += vectors.sum(axis=0)
-        self._outer += vectors.T @ vectors
-        self._count += vectors.shape[0]
-        return self
-
-    def merge(self, other: "ModelAccumulator") -> "ModelAccumulator":
-        """Fieldwise sum of two accumulators, as a new accumulator."""
-        if other.dim != self.dim:
-            raise ValueError(
-                f"cannot merge accumulators of dimension {self.dim} and {other.dim}"
-            )
-        merged = ModelAccumulator(self.dim)
-        merged._sum = self._sum + other._sum
-        merged._outer = self._outer + other._outer
-        merged._count = self._count + other._count
-        return merged
-
-    def finalize(self, allow_loading: bool = True) -> GaussianModel:
-        """Turn the sums into a model with an ML (1/M) covariance.
-
-        Raises DegenerateModelError when fewer than two vectors were seen or
-        when the covariance is not positive definite even after the loading
-        policy is applied. Counts below p + 1 produce a warning only.
+        This is the one-block case of :func:`stack_blocks`, with its count
+        checks and loading policy: a covariance that does not factorize is a
+        DegenerateModelError. The factorization itself is not kept.
         """
-        _check_count(self._count, self.dim)
-        means, covs = _ml_moments(
-            self._sum[None], self._outer[None], np.array([float(self._count)])
-        )
-        model = GaussianModel(mean=means[0], cov=covs[0], count=self._count)
-        try:
-            factorize(model, allow_loading=allow_loading)
-        except NotPositiveDefiniteError as exc:
-            raise DegenerateModelError(
-                f"covariance from {self._count} vectors is not positive definite: {exc}"
-            ) from exc
-        return model
+        vectors = np.asarray(vectors, dtype=float)
+        if vectors.ndim != 2 or vectors.shape[1] < 1:
+            raise ValueError(f"vectors must be a (n_frames, p >= 1) array, got {vectors.shape}")
+        stack = stack_blocks([vectors[None]], allow_loading)
+        return cls(mean=stack.means[0], cov=stack.covs[0], count=len(vectors))
 
 
 def _check_count(count: int, dim: int) -> None:
@@ -401,10 +330,9 @@ def models_from_moments(moments) -> list:
 def stack_moments(moments, allow_loading: bool = True) -> ModelStack:
     """Estimate and factorize one model per row of a (sums, outers, counts) triple.
 
-    Raw sums are finalized with the one-pass ML formula of
-    :meth:`ModelAccumulator.finalize` and factorized as one batch under the
-    loading policy of :func:`factorize`; a covariance that does not
-    factorize even so is a DegenerateModelError.
+    Raw sums are finalized with the one-pass ML formula and factorized as
+    one batch under the loading policy of :func:`factorize`; a covariance
+    that does not factorize even so is a DegenerateModelError.
     """
     sums, outers, counts = moments
     del moments  # this frame's references are then the only ones to the raw sums
@@ -433,9 +361,8 @@ def stack_blocks(block_sets, allow_loading: bool = True) -> ModelStack:
 
     ``block_sets`` is an iterable of (n_blocks, frames, p) arrays, typically
     zero-copy reshapes of each speaker's frames. They are consumed one at a
-    time, so a generator keeps only one set alive. Block by block, the result
-    is what :meth:`GaussianModel.from_frames` and :func:`factorize` give,
-    with the same count checks and loading policy.
+    time, so a generator keeps only one set alive. Fewer than 2 frames per
+    block is a DegenerateModelError and fewer than p + 1 a warning.
     """
     return stack_moments(_concat_moments(map(_block_moments, block_sets)), allow_loading)
 

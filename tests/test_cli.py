@@ -257,6 +257,8 @@ class TestExitCodes:
     def test_seed_is_not_an_extract_or_identify_flag(self, tmp_path):
         assert main(["extract", "x.wav", "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 1
         assert main(["identify", "--store", str(tmp_path), "--seed", "1", "x.csv"]) == 1
+        train = ["train", "--manifest", "m.json", "--seed", "1", "--out", str(tmp_path / "s")]
+        assert main(train) == 1
 
     def test_missing_manifest_is_data_error(self, tmp_path):
         assert main(["eval-duration", "--manifest", str(tmp_path / "m.json")]) == 2
@@ -297,6 +299,39 @@ class TestExitCodes:
         )
         assert code == 2
         assert "duration 0.004 s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--train-seconds", "-1"], "duration -1 s"),
+            (["--train-seconds", "0.01"], "duration 0.01 s"),
+            (["--test-frames", "0"], "got 0"),
+            (["--test-frames", "-5"], "got -5"),
+            (["--min-tests", "-3"], "got -3"),
+        ],
+        ids=["negative-train", "one-frame-train", "zero-test", "negative-test", "negative-min"],
+    )
+    def test_bad_phonetic_lengths_are_data_errors(self, corpus_dir, capsys, flags, named):
+        code = main(["eval-phonetic", "--manifest", str(corpus_dir / "manifest.json"), *flags])
+        assert code == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seconds", ["-1", "0", "0.01"])
+    def test_train_seconds_under_two_frames_is_data_error(
+        self, corpus_dir, tmp_path, capsys, seconds
+    ):
+        store = tmp_path / "store"
+        code = main(
+            [
+                "train",
+                "--manifest", str(corpus_dir / "manifest.json"),
+                "--train-seconds", seconds,
+                "--out", str(store),
+            ]
+        )
+        assert code == 2
+        assert f"duration {float(seconds):g} s" in capsys.readouterr().err
+        assert not store.exists()
 
     def test_unknown_frontend_config_key_is_data_error(self, tmp_path):
         config = tmp_path / "fc.json"

@@ -1,3 +1,5 @@
+import math
+import re
 import warnings
 from unittest import mock
 
@@ -27,7 +29,7 @@ from sosid.experiment import (
     run_duration_experiment,
     run_phonetic_experiment,
 )
-from sosid.gaussian import GaussianModel, stack_blocks
+from sosid.gaussian import GaussianModel, factorize, stack_blocks
 from sosid.phonetic import assemble_tests, default_taxonomy, expand_kernels, select_frames
 from sosid.synthetic import SynthCorpusConfig, make_corpus, write_corpus
 
@@ -204,6 +206,20 @@ class TestDurationExperiment:
         with pytest.raises(ConfigurationError, match=r"duration 0\.0(04|1) s is [01] frame"):
             DurationProtocolConfig(**durations)
         DurationProtocolConfig(test_durations=(0.02,))  # 2 frames at 100 fps
+
+    @pytest.mark.parametrize(
+        "durations, named",
+        [
+            ({"train_durations": (-1.0,)}, "duration -1 s is -100 frame"),
+            ({"test_durations": (0.0,)}, "duration 0 s is 0 frame"),
+            ({"test_durations": (math.inf,)}, "duration inf s is not a finite number"),
+            ({"train_durations": (math.nan,)}, "duration nan s is not a finite number"),
+        ],
+        ids=["negative", "zero", "inf", "nan"],
+    )
+    def test_negative_and_non_finite_durations_rejected(self, durations, named):
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            DurationProtocolConfig(**durations)
 
     def test_cell_order_matches_grid_conventions(self):
         cfg = DurationProtocolConfig(train_durations=(2.0, 6.0), test_durations=(1.0, 3.0))
@@ -421,19 +437,51 @@ class TestPhoneticExperiment:
         assert text_a == text_b
 
     def test_training_matches_duration_protocol_material(self):
-        # both protocols must train on the same leading 15 s of the same shuffle
+        # both protocols train on the same leading 15 s of the same shuffle,
+        # and build the same reference models from it, bit for bit
         _, corpus = _labeled_corpus(seed=11)
-        from sosid.experiment import _speaker_streams
-        from sosid.gaussian import GaussianModel
-        from sosid.identify import SpeakerRegistry, identify
+        registries = []
 
-        streams = _speaker_streams(corpus)
-        registry = SpeakerRegistry()
-        for sid, concat, _ in streams:
-            registry.register(sid, GaussianModel.from_frames(concat[:1500]))
-        report = run_phonetic_experiment(corpus, selectors=("All",), min_tests=1)
-        # the self-identification sanity implied by shared training material:
-        for sid, concat, _ in streams:
-            sheet = identify(registry, GaussianModel.from_frames(concat[:1500]))
-            assert sheet.decision == sid
-        assert report.metadata["protocol"] == "phonetic"
+        def spy(registry, *args):
+            registries.append(registry)
+            return score_cells(registry, *args)
+
+        score_cells = experiment._score_cells
+        with mock.patch.object(experiment, "_score_cells", spy):
+            run_phonetic_experiment(corpus, selectors=("All",), min_tests=1)
+            phonetic = registries[-1]
+            run_duration_experiment(corpus, DurationProtocolConfig(train_durations=(15.0,)))
+            duration = registries[-1]
+        for speaker_id, concat, _ in experiment._speaker_streams(corpus):
+            want = GaussianModel.from_frames(concat[:1500])
+            want_fact = factorize(want)
+            for registry in (phonetic, duration):
+                got, fact = registry.model(speaker_id), registry.factorization(speaker_id)
+                assert got.count == want.count == 1500
+                np.testing.assert_array_equal(got.mean, want.mean)
+                np.testing.assert_array_equal(got.cov, want.cov)
+                np.testing.assert_array_equal(fact.inverse, want_fact.inverse)
+                assert fact.log_det == want_fact.log_det
+                assert fact.loading == want_fact.loading
+
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            ({"train_seconds": -1.0}, "duration -1 s is -100 frame"),
+            ({"train_seconds": 0.01}, "duration 0.01 s is 1 frame"),
+            ({"test_len": 0}, "got 0"),
+            ({"test_len": -5}, "got -5"),
+            ({"min_tests": -3}, "got -3"),
+            ({"pre_frames": -1}, "pre -1"),
+            ({"post_frames": -2}, "post -2"),
+            ({"sc_convention": "sideways"}, "sideways"),
+        ],
+        ids=[
+            "negative-train", "one-frame-train", "zero-test", "negative-test",
+            "negative-min-tests", "negative-pre", "negative-post", "unknown-sc",
+        ],
+    )
+    def test_bad_lengths_and_conventions_rejected(self, kwargs, named):
+        _, corpus = _labeled_corpus()
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            run_phonetic_experiment(corpus, selectors=("All",), **kwargs)

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from sosid.errors import DegenerateModelError, NotPositiveDefiniteError
 from sosid.gaussian import (
     GaussianModel,
-    ModelAccumulator,
     factorize,
     load_model_store,
     stack_blocks,
@@ -24,108 +23,43 @@ def _random_spd(rng, p, scale=1.0):
     return scale * (a @ a.T) + np.eye(p)
 
 
-class TestAccumulator:
-    def test_single_vector(self):
-        acc = ModelAccumulator(3)
-        acc.accumulate([1.0, 2.0, 3.0])
-        assert acc.count == 1
-        np.testing.assert_array_equal(acc._sum, [1.0, 2.0, 3.0])
-
+class TestFromFrames:
     def test_two_point_hand_arithmetic(self):
-        acc = ModelAccumulator(1)
-        acc.accumulate([0.0]).accumulate([2.0])
-        model = acc.finalize()
+        model = GaussianModel.from_frames([[0.0], [2.0]])
         assert model.mean[0] == 1.0
         assert model.cov[0, 0] == 1.0  # ML: ((0-1)^2 + (2-1)^2) / 2
+        assert model.count == 2
 
     def test_constant_data_is_degenerate(self):
-        acc = ModelAccumulator(2)
-        for _ in range(10):
-            acc.accumulate([1.0, -1.0])
         with pytest.raises(DegenerateModelError):
-            acc.finalize()
+            GaussianModel.from_frames(np.tile([1.0, -1.0], (10, 1)))
 
     def test_fewer_than_two_vectors_rejected(self):
-        acc = ModelAccumulator(2)
-        acc.accumulate([0.0, 1.0])
-        with pytest.raises(DegenerateModelError):
-            acc.finalize()
+        for frames in (np.empty((0, 2)), [[0.0, 1.0]]):
+            with pytest.raises(DegenerateModelError, match="at least 2"):
+                GaussianModel.from_frames(frames)
 
     def test_small_count_warns_and_needs_loading(self):
         rng = np.random.default_rng(0)
         data = rng.standard_normal((6, 8))
-        acc = ModelAccumulator(8).extend(data)
         with pytest.warns(RuntimeWarning):
-            model = acc.finalize()  # diagonal loading rescues the rank-6 cov
+            model = GaussianModel.from_frames(data)  # loading rescues the rank-6 cov
         assert model.count == 6
         with pytest.warns(RuntimeWarning):
             with pytest.raises(DegenerateModelError):
-                ModelAccumulator(8).extend(data).finalize(allow_loading=False)
+                GaussianModel.from_frames(data, allow_loading=False)
 
     def test_dimension_mismatch(self):
-        acc = ModelAccumulator(3)
-        with pytest.raises(ValueError):
-            acc.accumulate([1.0, 2.0])
-        with pytest.raises(ValueError):
-            acc.extend(np.zeros((4, 2)))
-        with pytest.raises(ValueError):
-            acc.merge(ModelAccumulator(2))
+        for frames in ([1.0, 2.0], np.zeros((4, 2, 3)), np.zeros((4, 0))):
+            with pytest.raises(ValueError, match="n_frames"):
+                GaussianModel.from_frames(frames)
 
     def test_order_insensitive(self):
         rng = np.random.default_rng(1)
         data = rng.standard_normal((40, 4))
-        forward = ModelAccumulator(4)
-        backward = ModelAccumulator(4)
-        for row in data:
-            forward.accumulate(row)
-        for row in data[::-1]:
-            backward.accumulate(row)
-        a, b = forward.finalize(), backward.finalize()
+        a, b = GaussianModel.from_frames(data), GaussianModel.from_frames(data[::-1])
         np.testing.assert_allclose(a.mean, b.mean, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(a.cov, b.cov, rtol=1e-12, atol=1e-12)
-
-    def test_accumulate_matches_extend(self):
-        rng = np.random.default_rng(2)
-        data = rng.standard_normal((30, 5))
-        one = ModelAccumulator(5)
-        for row in data:
-            one.accumulate(row)
-        batch = ModelAccumulator(5).extend(data)
-        m1, m2 = one.finalize(), batch.finalize()
-        np.testing.assert_allclose(m1.cov, m2.cov, rtol=1e-12, atol=1e-13)
-
-    def test_merge_with_empty_is_identity(self):
-        rng = np.random.default_rng(3)
-        acc = ModelAccumulator(4).extend(rng.standard_normal((20, 4)))
-        merged = acc.merge(ModelAccumulator(4))
-        m1, m2 = acc.finalize(), merged.finalize()
-        np.testing.assert_array_equal(m1.mean, m2.mean)
-        np.testing.assert_array_equal(m1.cov, m2.cov)
-        assert m1.count == m2.count
-
-    def test_merge_commutes(self):
-        rng = np.random.default_rng(4)
-        a = ModelAccumulator(3).extend(rng.standard_normal((15, 3)))
-        b = ModelAccumulator(3).extend(rng.standard_normal((25, 3)) + 1.0)
-        ab, ba = a.merge(b).finalize(), b.merge(a).finalize()
-        np.testing.assert_allclose(ab.cov, ba.cov, rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(ab.mean, ba.mean, rtol=1e-12, atol=1e-13)
-
-    @settings(deadline=None, max_examples=30)
-    @given(split=st.integers(min_value=2, max_value=118), seed=st.integers(0, 2**16))
-    def test_split_and_merge_matches_single_pass(self, split, seed):
-        rng = np.random.default_rng(seed)
-        data = rng.standard_normal((120, 6))
-        whole = ModelAccumulator(6).extend(data).finalize()
-        merged = (
-            ModelAccumulator(6)
-            .extend(data[:split])
-            .merge(ModelAccumulator(6).extend(data[split:]))
-            .finalize()
-        )
-        assert merged.count == whole.count
-        np.testing.assert_allclose(merged.mean, whole.mean, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(merged.cov, whole.cov, rtol=1e-12, atol=1e-12)
 
     def test_covariance_matches_two_pass_oracle(self):
         rng = np.random.default_rng(5)
@@ -238,8 +172,16 @@ def _blocks_of(frames, n_blocks, block_len):
     return frames[: n_blocks * block_len].reshape(n_blocks, block_len, frames.shape[1])
 
 
+def _one_pass_model(x):
+    """Test-local reference: raw sums of one block, then the ML (1/M) formula."""
+    n = len(x)
+    mean = x.sum(axis=0) / n
+    cov = x.T @ x / n - mean[:, None] * mean[None, :]
+    return GaussianModel(mean=mean, cov=(cov + cov.T) / 2.0, count=n)
+
+
 class TestStackBlocks:
-    """The batch builder equals from_frames + factorize, block by block."""
+    """The batch builder equals a one-pass estimate + factorize, block by block."""
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -257,16 +199,17 @@ class TestStackBlocks:
             for n in set_sizes
         ]
         blocks = [block for blocks in sets for block in blocks]
+        models = [_one_pass_model(b) for b in blocks]
+        try:  # a 1-frame block's covariance is exactly 0, which loading cannot rescue
+            facts = [factorize(model, allow_loading) for model in models]
+        except NotPositiveDefiniteError:  # 1 frame, or rank deficient without loading
+            with pytest.raises(DegenerateModelError), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # block_len <= dim
+                stack_blocks(sets, allow_loading=allow_loading)
+            return
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # block_len <= dim
-            try:
-                models = [GaussianModel.from_frames(b, allow_loading) for b in blocks]
-            except DegenerateModelError:  # 1 frame, or rank deficient without loading
-                with pytest.raises(DegenerateModelError):
-                    stack_blocks(sets, allow_loading=allow_loading)
-                return
             stack = stack_blocks(sets, allow_loading=allow_loading)
-        facts = [factorize(model) for model in models]
         assert len(stack) == len(blocks) == sum(set_sizes)
         assert stack.means.shape == (len(blocks), dim)
         for i, (model, fact) in enumerate(zip(models, facts)):
@@ -283,15 +226,14 @@ class TestStackBlocks:
         short = rng.standard_normal((2, 4, 6))  # 4 frames at dimension 6: rank 3
         with pytest.warns(RuntimeWarning, match="rank deficient"):
             stack = stack_blocks([good, short])
-        with pytest.warns(RuntimeWarning):
-            facts = [factorize(GaussianModel.from_frames(b)) for b in short]
+        facts = [factorize(_one_pass_model(b)) for b in short]
         np.testing.assert_array_equal(stack.loadings[:3], 0.0)
         assert all(fact.loading > 0.0 for fact in facts)
         np.testing.assert_array_equal(stack.loadings[3:], [f.loading for f in facts])
         np.testing.assert_array_equal(stack.inverses[3:], [f.inverse for f in facts])
         np.testing.assert_array_equal(stack.log_dets[3:], [f.log_det for f in facts])
         for i, block in enumerate(good):
-            fact = factorize(GaussianModel.from_frames(block))
+            fact = factorize(_one_pass_model(block))
             np.testing.assert_array_equal(stack.inverses[i], fact.inverse)
 
     def test_rank_deficient_without_loading_is_degenerate(self):
