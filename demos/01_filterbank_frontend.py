@@ -24,16 +24,14 @@ from sosid import (
     save_wav,
 )
 
-workdir = Path(tempfile.mkdtemp(prefix="sosid_demo_"))
-
 # One second of a 440 Hz tone plus a little noise, 16 kHz mono 16-bit PCM.
 rng = np.random.default_rng(0)
 t = np.arange(16000)
 tone = 6000 * np.sin(2 * np.pi * 440 * t / 16000) + 300 * rng.standard_normal(16000)
-wav_path = workdir / "tone.wav"
-save_wav(wav_path, tone, 16000)
-
-buf = load_wav(wav_path)
+with tempfile.TemporaryDirectory() as workdir:
+    wav_path = Path(workdir) / "tone.wav"
+    save_wav(wav_path, tone, 16000)
+    buf = load_wav(wav_path)
 print(f"loaded {len(buf)} samples at {buf.sample_rate} Hz ({buf.duration:.2f} s)")
 
 cfg = FrontendConfig()
@@ -55,8 +53,8 @@ print(f"log floor is log(1e-10) = {math.log(1e-10):.4f}; "
       f"observed minimum {features.vectors.min():.4f}")
 
 # Features round-trip through the CSV dump format bit-exactly.
-csv_path = workdir / "tone_features.csv"
-save_features_csv(features, csv_path)
-again = load_features_csv(csv_path)
+with tempfile.TemporaryDirectory() as workdir:
+    csv_path = Path(workdir) / "tone_features.csv"
+    save_features_csv(features, csv_path)
+    again = load_features_csv(csv_path)
 print(f"CSV round trip exact: {bool(np.array_equal(again.vectors, features.vectors))}")
-print(f"artifacts in {workdir}")

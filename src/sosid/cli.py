@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, SosidError
+from .errors import ConfigurationError, InsufficientDataError, SosidError
 from .experiment import (
     FRAMES_PER_SECOND,
     DurationProtocolConfig,
@@ -31,8 +31,8 @@ from .frontend import (
     load_wav,
     save_features_csv,
 )
-from .gaussian import GaussianModel, load_model_store, save_model_store
-from .identify import SpeakerRegistry, identify, score_sheets_csv
+from .gaussian import GaussianModel, load_model_store, save_model_store, stack_blocks
+from .identify import ScoreSheet, SpeakerRegistry, score_matrix, score_sheets_csv
 from .measures import MEASURE_KINDS, MU_G, SC_CONVENTIONS, SC_DECOMPOSITION
 from .phonetic import CLASS_ORDER, default_taxonomy, load_taxonomy
 from .synthetic import SynthCorpusConfig, write_corpus
@@ -84,6 +84,11 @@ def _cmd_train(args) -> int:
         frames = [sentence.frames for sentence in sentences]
         concat = np.concatenate(frames)
         if limit is not None:
+            if len(concat) < limit:
+                raise InsufficientDataError(
+                    f"speaker {speaker_id}: {len(concat)} frames < {limit} needed "
+                    f"for {args.train_seconds:g} s training"
+                )
             concat = concat[:limit]
         models[speaker_id] = GaussianModel.from_frames(concat)
     save_model_store(args.out, models, config_hash=cfg.digest())
@@ -94,21 +99,18 @@ def _cmd_identify(args) -> int:
     if args.measure and len(args.measure) > 1:
         raise _UsageError("identify takes a single --measure")
     kind = args.measure[0] if args.measure else MU_G
-    models = load_model_store(args.store)
-    registry = SpeakerRegistry.from_models(models)
+    registry = SpeakerRegistry.from_models(load_model_store(args.store))
     sheets = []
+    # one stack per file: a stack of several files moves scores in their last bits
     for features_path in args.features:
-        frames = load_features_csv(features_path)
-        test = GaussianModel.from_frames(frames.vectors)
-        sheets.append(
-            identify(
-                registry,
-                test,
-                kind=kind,
-                sc_convention=args.sc_convention,
-                test_id=Path(features_path).stem,
+        vectors = load_features_csv(features_path).vectors
+        if vectors.shape[1] != registry.dim:
+            raise SosidError(
+                f"{features_path}: feature dimension {vectors.shape[1]} "
+                f"differs from the store's {registry.dim}"
             )
-        )
+        values = score_matrix(registry, stack_blocks([vectors[None]]), kind, args.sc_convention)
+        sheets.append(ScoreSheet.from_row(Path(features_path).stem, registry.ids, values[0]))
     _write_or_print(score_sheets_csv(sheets), args.out)
     return 0
 

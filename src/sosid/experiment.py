@@ -36,7 +36,6 @@ from .errors import (
     ConfigurationError,
     DegenerateModelError,
     InsufficientDataError,
-    NotPositiveDefiniteError,
 )
 from .frontend import (
     FrontendConfig,
@@ -44,12 +43,7 @@ from .frontend import (
     load_features_csv,
     load_wav,
 )
-from .gaussian import (
-    SegmentMoments,
-    models_from_moments,
-    stack_blocks,
-    stack_moments,
-)
+from .gaussian import SegmentMoments, stack_blocks, stack_moments
 from .identify import SpeakerRegistry, decisions_from_scores, score_matrix
 from .measures import MEASURE_KINDS, SC_CONVENTIONS, SC_DECOMPOSITION
 from .phonetic import (
@@ -387,13 +381,10 @@ def _test_bounds(n_frames: int, train_f: int, test_f: int, cap: int) -> np.ndarr
 
 def _reference_registry(ids, moments, train_f: int) -> SpeakerRegistry:
     """Registry of one model per speaker from the raw moments of its training frames."""
-    models = models_from_moments(moments)
     try:
-        return SpeakerRegistry.from_models(dict(zip(ids, models)))
-    except NotPositiveDefiniteError as exc:
-        raise DegenerateModelError(
-            f"covariance from {train_f} vectors is not positive definite: {exc}"
-        ) from exc
+        return SpeakerRegistry(ids, stack_moments(moments))
+    except DegenerateModelError as exc:
+        raise DegenerateModelError(f"reference from {train_f} training vectors: {exc}") from exc
 
 
 def run_phonetic_experiment(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -111,57 +111,31 @@ class SpdFactorization:
         return self.factor.shape[0]
 
 
-def factorize(
-    model,
-    allow_loading: bool = True,
-    loading_scale: float = DEFAULT_LOADING_SCALE,
-) -> SpdFactorization:
+def factorize(model, allow_loading: bool = True) -> SpdFactorization:
     """Factorize a model's covariance (or a raw SPD matrix).
 
     On Cholesky failure, a single diagonal loading of
-    loading_scale * trace(cov) / p is attempted when allow_loading is set;
-    the applied amount is reported through the result's ``loading`` field.
+    DEFAULT_LOADING_SCALE * trace(cov) / p is attempted when allow_loading
+    is set; the applied amount is reported through the result's ``loading``
+    field. A model's row of :func:`stack_models` holds the same values.
     """
-    return factorize_all([model], allow_loading, loading_scale)[0]
-
-
-def factorize_all(
-    models,
-    allow_loading: bool = True,
-    loading_scale: float = DEFAULT_LOADING_SCALE,
-) -> list:
-    """:func:`factorize` of each model (or raw SPD matrix) of a sequence, as one batch.
-
-    Each result is bit for bit what :func:`factorize` gives alone; the first
-    matrix that fails even after loading raises NotPositiveDefiniteError.
-    """
-    covs = [
-        m.cov if isinstance(m, GaussianModel) else np.asarray(m, dtype=float)
-        for m in models
-    ]
-    if not covs:
-        return []
-    factors, loadings, log_dets, inverses = _factorize_stack(
-        np.stack(covs), allow_loading, loading_scale
+    cov = model.cov if isinstance(model, GaussianModel) else np.asarray(model, dtype=float)
+    factors, loadings, log_dets, inverses = _factorize_stack(np.stack([cov]), allow_loading)
+    return SpdFactorization(
+        factor=factors[0],
+        log_det=float(log_dets[0]),
+        inverse=inverses[0],
+        loading=float(loadings[0]),
     )
-    return [
-        SpdFactorization(
-            factor=factors[i],
-            log_det=float(log_dets[i]),
-            inverse=inverses[i],
-            loading=float(loadings[i]),
-        )
-        for i in range(len(factors))
-    ]
 
 
-def _cholesky_with_loading(cov, allow_loading: bool, loading_scale: float):
+def _cholesky_with_loading(cov, allow_loading: bool):
     """(lower factor, loading) of one covariance under the loading policy."""
     try:
         return np.linalg.cholesky(cov), 0.0
     except np.linalg.LinAlgError:
         pass
-    loading = loading_scale * max(np.trace(cov), 0.0) / cov.shape[0]
+    loading = DEFAULT_LOADING_SCALE * max(np.trace(cov), 0.0) / cov.shape[0]
     if not allow_loading or loading <= 0.0:
         raise NotPositiveDefiniteError(
             f"covariance of dimension {cov.shape[0]} is not positive definite"
@@ -175,7 +149,7 @@ def _cholesky_with_loading(cov, allow_loading: bool, loading_scale: float):
         ) from None
 
 
-def _factorize_stack(covs, allow_loading: bool, loading_scale: float):
+def _factorize_stack(covs, allow_loading: bool):
     """Factors, loadings, log-dets and inverses of a (n, p, p) covariance stack.
 
     One batched Cholesky serves the common case; only when it fails is each
@@ -188,9 +162,7 @@ def _factorize_stack(covs, allow_loading: bool, loading_scale: float):
     except np.linalg.LinAlgError:
         factors = np.empty_like(covs)
         for i, cov in enumerate(covs):
-            factors[i], loadings[i] = _cholesky_with_loading(
-                cov, allow_loading, loading_scale
-            )
+            factors[i], loadings[i] = _cholesky_with_loading(cov, allow_loading)
     log_dets = 2.0 * np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1)
     # inverse = L^-T L^-1; a positive Cholesky diagonal makes trtri succeed
     inv_factors = np.empty_like(factors)
@@ -219,18 +191,31 @@ class ModelStack:
     def __len__(self) -> int:
         return len(self.means)
 
+    def append(self, other: "ModelStack") -> "ModelStack":
+        """This stack's rows followed by another's."""
+        return ModelStack(
+            *(np.concatenate([getattr(self, f.name), getattr(other, f.name)]) for f in fields(self))
+        )
 
-def stack_models(models, facts) -> ModelStack:
-    """Stack parallel sequences of models and their factorizations."""
+
+def _factorized(means, covs, counts, allow_loading: bool = True) -> ModelStack:
+    """Stack of estimated models, their covariances factorized as one batch."""
+    _, loadings, log_dets, inverses = _factorize_stack(covs, allow_loading)
+    return ModelStack(means, covs, counts, inverses, log_dets, loadings)
+
+
+def stack_models(models) -> ModelStack:
+    """Stack a non-empty sequence of models and factorize them as one batch.
+
+    Each row is bit for bit what :func:`factorize` gives for its model
+    alone; the first covariance that fails even after diagonal loading
+    raises NotPositiveDefiniteError.
+    """
     models = list(models)
-    facts = list(facts)
-    return ModelStack(
-        means=np.stack([m.mean for m in models]),
-        covs=np.stack([m.cov for m in models]),
-        counts=np.array([m.count for m in models], dtype=float),
-        inverses=np.stack([f.inverse for f in facts]),
-        log_dets=np.array([f.log_det for f in facts]),
-        loadings=np.array([f.loading for f in facts]),
+    return _factorized(
+        np.stack([m.mean for m in models]),
+        np.stack([m.cov for m in models]),
+        np.array([m.count for m in models], dtype=float),
     )
 
 
@@ -314,19 +299,6 @@ class SegmentMoments:
         return sums, outers, np.concatenate(counts).astype(float)
 
 
-def models_from_moments(moments) -> list:
-    """One model per row of a (sums, outers, counts) raw moment triple.
-
-    The models are not factorized; a registry factorizes them once, as one
-    batch, when they are registered.
-    """
-    means, covs = _ml_moments(*moments)
-    return [
-        GaussianModel(mean=mean, cov=cov, count=int(count))
-        for mean, cov, count in zip(means, covs, moments[2])
-    ]
-
-
 def stack_moments(moments, allow_loading: bool = True) -> ModelStack:
     """Estimate and factorize one model per row of a (sums, outers, counts) triple.
 
@@ -339,21 +311,11 @@ def stack_moments(moments, allow_loading: bool = True) -> ModelStack:
     means, covs = _ml_moments(sums, outers, counts)
     del sums, outers  # raw moments are not needed while factorizing
     try:
-        _, loadings, log_dets, inverses = _factorize_stack(
-            covs, allow_loading, DEFAULT_LOADING_SCALE
-        )
+        return _factorized(means, covs, counts, allow_loading)
     except NotPositiveDefiniteError as exc:
         raise DegenerateModelError(
             f"covariance of a frame block is not positive definite: {exc}"
         ) from exc
-    return ModelStack(
-        means=means,
-        covs=covs,
-        counts=counts,
-        inverses=inverses,
-        log_dets=log_dets,
-        loadings=loadings,
-    )
 
 
 def stack_blocks(block_sets, allow_loading: bool = True) -> ModelStack:

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (
-    GaussianModel,
-    ModelStack,
-    SpdFactorization,
-    factorize,
-    factorize_all,
-    stack_models,
-)
+from .gaussian import GaussianModel, ModelStack, stack_models
 from .measures import MU_G, SC_DECOMPOSITION, measure_matrix
 
 
@@ -32,66 +25,53 @@ class ScoreSheet:
     scores: tuple
     decision: str
 
+    @classmethod
+    def from_row(cls, test_id: str, ids, values: np.ndarray) -> "ScoreSheet":
+        """Sheet of one score-matrix row over the speaker ids; the first minimum decides."""
+        return cls(test_id, tuple(zip(ids, values.tolist())), ids[int(np.argmin(values))])
+
 
 class SpeakerRegistry:
-    """Ordered collection of reference models, factorized once at registration."""
+    """Ordered speaker ids and one stack of their factorized reference models.
 
-    def __init__(self, allow_loading: bool = True):
-        self.allow_loading = allow_loading
-        self._models: dict[str, GaussianModel] = {}
-        self._facts: dict[str, SpdFactorization] = {}
-        self._stack = None
+    ``stack`` row i is speaker ``ids[i]``; an empty registry has no stack.
+    """
+
+    def __init__(self, ids=(), stack: ModelStack | None = None):
+        self.ids, self.stack = tuple(ids), stack
+        n_models = 0 if stack is None else len(stack)
+        if len(self.ids) != n_models or len(set(self.ids)) != n_models:
+            raise ValueError(
+                f"need one unique speaker id per model: {len(self.ids)} ids for {n_models} models"
+            )
 
     @classmethod
-    def from_models(cls, models, allow_loading: bool = True) -> "SpeakerRegistry":
-        """Build a registry from an ordered id -> model mapping.
-
-        The models are factorized as one batch, each exactly as
-        :meth:`register` would factorize it.
-        """
-        registry = cls(allow_loading=allow_loading)
-        registry._models = dict(models)
-        facts = factorize_all(registry._models.values(), allow_loading=allow_loading)
-        registry._facts = dict(zip(registry._models, facts))
-        return registry
+    def from_models(cls, models) -> "SpeakerRegistry":
+        """Build a registry from an ordered id -> model mapping, factorized as one batch."""
+        return cls(models, stack_models(models.values()) if models else None)
 
     def __len__(self) -> int:
-        return len(self._models)
-
-    @property
-    def ids(self) -> tuple:
-        return tuple(self._models)
+        return len(self.ids)
 
     @property
     def dim(self) -> int | None:
-        for model in self._models.values():
-            return model.dim
-        return None
+        return None if self.stack is None else self.stack.dim
 
     def model(self, speaker_id: str) -> GaussianModel:
-        return self._models[speaker_id]
-
-    def factorization(self, speaker_id: str) -> SpdFactorization:
-        return self._facts[speaker_id]
+        i = self.ids.index(speaker_id)
+        return GaussianModel(self.stack.means[i], self.stack.covs[i], int(self.stack.counts[i]))
 
     def register(self, speaker_id: str, model: GaussianModel) -> "SpeakerRegistry":
-        if speaker_id in self._models:
+        if speaker_id in self.ids:
             raise ValueError(f"speaker id {speaker_id!r} already registered")
         if self.dim is not None and model.dim != self.dim:
             raise ValueError(
                 f"model dimension {model.dim} does not match registry dimension {self.dim}"
             )
-        fact = factorize(model, allow_loading=self.allow_loading)
-        self._models[speaker_id] = model
-        self._facts[speaker_id] = fact
-        self._stack = None
+        row = stack_models([model])
+        self.stack = row if self.stack is None else self.stack.append(row)
+        self.ids += (speaker_id,)
         return self
-
-    def stack(self) -> ModelStack:
-        """The registered models as one stack, in registration order."""
-        if self._stack is None:
-            self._stack = stack_models(self._models.values(), self._facts.values())
-        return self._stack
 
 
 def identify(
@@ -100,16 +80,10 @@ def identify(
     kind: str = MU_G,
     sc_convention: str = SC_DECOMPOSITION,
     test_id: str = "",
-    test_fact: SpdFactorization | None = None,
 ) -> ScoreSheet:
     """Score a test model against every speaker and pick the argmin."""
-    if test_fact is None:
-        test_fact = factorize(test, allow_loading=registry.allow_loading)
-    tests = stack_models([test], [test_fact])
-    values = score_matrix(registry, tests, kind, sc_convention)[0]
-    decision = registry.ids[int(np.argmin(values))]
-    scores = tuple(zip(registry.ids, values.tolist()))
-    return ScoreSheet(test_id=test_id, scores=scores, decision=decision)
+    values = score_matrix(registry, stack_models([test]), kind, sc_convention)[0]
+    return ScoreSheet.from_row(test_id, registry.ids, values)
 
 
 def score_matrix(
@@ -121,7 +95,7 @@ def score_matrix(
     """(n_tests, n_speakers) matrix of measure values against a registry."""
     if len(registry) == 0:
         raise ValueError("cannot score against an empty registry")
-    return measure_matrix(kind, registry.stack(), tests, sc_convention)
+    return measure_matrix(kind, registry.stack, tests, sc_convention)
 
 
 def decisions_from_scores(registry: SpeakerRegistry, values: np.ndarray) -> list:

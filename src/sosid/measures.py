@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gaussian import GaussianModel, ModelStack, SpdFactorization, factorize, stack_models
+from .gaussian import GaussianModel, ModelStack, stack_models
 
 MU_G = "mu_g"
 MU_GC = "mu_gc"
@@ -106,44 +106,23 @@ def evaluate(
     kind: str,
     ref: GaussianModel,
     test: GaussianModel,
-    ref_fact: SpdFactorization | None = None,
-    test_fact: SpdFactorization | None = None,
     sc_convention: str = SC_DECOMPOSITION,
 ) -> float:
     """One measure ("mu_g" | "mu_gc" | "mu_sc") of a single pair."""
-    if ref.dim != test.dim:
-        raise ValueError(f"dimension mismatch: {ref.dim} vs {test.dim}")
-    refs = stack_models([ref], [ref_fact if ref_fact is not None else factorize(ref)])
-    tests = stack_models([test], [test_fact if test_fact is not None else factorize(test)])
+    refs, tests = stack_models([ref]), stack_models([test])
     return float(measure_matrix(kind, refs, tests, sc_convention)[0, 0])
 
 
-def mu_gc(
-    ref: GaussianModel,
-    test: GaussianModel,
-    ref_fact: SpdFactorization | None = None,
-    test_fact: SpdFactorization | None = None,
-) -> float:
+def mu_gc(ref: GaussianModel, test: GaussianModel) -> float:
     """Covariance-only measure; zero iff the covariances are equal."""
-    return evaluate(MU_GC, ref, test, ref_fact, test_fact)
+    return evaluate(MU_GC, ref, test)
 
 
-def mu_g(
-    ref: GaussianModel,
-    test: GaussianModel,
-    ref_fact: SpdFactorization | None = None,
-    test_fact: SpdFactorization | None = None,
-) -> float:
+def mu_g(ref: GaussianModel, test: GaussianModel) -> float:
     """Full measure: ``mu_gc`` plus the weighted mean-difference quadratic form."""
-    return evaluate(MU_G, ref, test, ref_fact, test_fact)
+    return evaluate(MU_G, ref, test)
 
 
-def mu_sc(
-    ref: GaussianModel,
-    test: GaussianModel,
-    ref_fact: SpdFactorization | None = None,
-    test_fact: SpdFactorization | None = None,
-    convention: str = SC_DECOMPOSITION,
-) -> float:
+def mu_sc(ref: GaussianModel, test: GaussianModel, convention: str = SC_DECOMPOSITION) -> float:
     """Sphericity measure; see module docstring for the two conventions."""
-    return evaluate(MU_SC, ref, test, ref_fact, test_fact, sc_convention=convention)
+    return evaluate(MU_SC, ref, test, convention)

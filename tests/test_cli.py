@@ -163,6 +163,20 @@ class TestTrainAndIdentify:
         assert main(["identify", "--store", str(store), str(bad)]) == 2
         assert "nan.csv" in capsys.readouterr().err
 
+    def test_many_files_write_the_one_file_sheets_joined(self, corpus_dir, tmp_path, capsys):
+        store = tmp_path / "store"
+        main(["train", "--manifest", str(corpus_dir / "manifest.json"), "--out", str(store)])
+        features = [str(corpus_dir / f"spk{i:03d}" / "s007.csv") for i in range(3)]
+        sheets = []
+        for path in features:
+            assert main(["identify", "--store", str(store), path]) == 0
+            sheets.append(capsys.readouterr().out)
+        header = sheets[0].split("\n", 1)[0] + "\n"
+        assert all(sheet.startswith(header) for sheet in sheets)
+        assert main(["identify", "--store", str(store), *features]) == 0
+        joined = header + "".join(sheet[len(header):] for sheet in sheets)
+        assert capsys.readouterr().out == joined
+
 
 class TestEvalCommands:
     def test_eval_duration_csv(self, corpus_dir, tmp_path):
@@ -332,6 +346,31 @@ class TestExitCodes:
         assert code == 2
         assert f"duration {float(seconds):g} s" in capsys.readouterr().err
         assert not store.exists()
+
+    def test_train_seconds_beyond_material_is_data_error(self, corpus_dir, tmp_path, capsys):
+        store = tmp_path / "store"
+        code = main(
+            [
+                "train",
+                "--manifest", str(corpus_dir / "manifest.json"),
+                "--train-seconds", "27",
+                "--out", str(store),
+            ]
+        )
+        assert code == 2
+        assert "speaker spk000: 2600 frames < 2700" in capsys.readouterr().err
+        assert not store.exists()
+
+    def test_features_of_another_dimension_are_data_error(self, corpus_dir, tmp_path, capsys):
+        store = tmp_path / "store"
+        main(["train", "--manifest", str(corpus_dir / "manifest.json"), "--out", str(store)])
+        features = np.loadtxt(corpus_dir / "spk000" / "s000.csv", delimiter=",")
+        narrow = tmp_path / "narrow.csv"
+        np.savetxt(narrow, features[:, :5], delimiter=",")
+        assert main(["identify", "--store", str(store), str(narrow)]) == 2
+        err = capsys.readouterr().err
+        assert "narrow.csv" in err
+        assert "dimension 5" in err and "store's 6" in err
 
     def test_unknown_frontend_config_key_is_data_error(self, tmp_path):
         config = tmp_path / "fc.json"

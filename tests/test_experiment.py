@@ -456,13 +456,14 @@ class TestPhoneticExperiment:
             want = GaussianModel.from_frames(concat[:1500])
             want_fact = factorize(want)
             for registry in (phonetic, duration):
-                got, fact = registry.model(speaker_id), registry.factorization(speaker_id)
-                assert got.count == want.count == 1500
-                np.testing.assert_array_equal(got.mean, want.mean)
-                np.testing.assert_array_equal(got.cov, want.cov)
-                np.testing.assert_array_equal(fact.inverse, want_fact.inverse)
-                assert fact.log_det == want_fact.log_det
-                assert fact.loading == want_fact.loading
+                row = registry.ids.index(speaker_id)
+                stack = registry.stack
+                assert stack.counts[row] == want.count == 1500
+                np.testing.assert_array_equal(stack.means[row], want.mean)
+                np.testing.assert_array_equal(stack.covs[row], want.cov)
+                np.testing.assert_array_equal(stack.inverses[row], want_fact.inverse)
+                assert stack.log_dets[row] == want_fact.log_det
+                assert stack.loadings[row] == want_fact.loading
 
     @pytest.mark.parametrize(
         "kwargs, named",

@@ -52,14 +52,20 @@ class TestRegistry:
         models["rank1"] = _model(np.zeros(6), np.outer(v, v), 10)  # needs loading
         batch = SpeakerRegistry.from_models(models)
         assert batch.ids == tuple(models)
-        assert batch.factorization("rank1").loading > 0.0
+        assert batch.stack.loadings[batch.ids.index("rank1")] > 0.0
+        for row, (speaker_id, model) in enumerate(models.items()):
+            got, want = batch.model(speaker_id), factorize(model)
+            np.testing.assert_array_equal(got.mean, model.mean)
+            np.testing.assert_array_equal(got.cov, model.cov)
+            assert got.count == model.count
+            np.testing.assert_array_equal(batch.stack.inverses[row], want.inverse)
+            assert batch.stack.log_dets[row] == want.log_det
+            assert batch.stack.loadings[row] == want.loading
+        single = SpeakerRegistry()
         for speaker_id, model in models.items():
-            assert batch.model(speaker_id) is model
-            got, want = batch.factorization(speaker_id), factorize(model)
-            np.testing.assert_array_equal(got.factor, want.factor)
-            np.testing.assert_array_equal(got.inverse, want.inverse)
-            assert got.log_det == want.log_det
-            assert got.loading == want.loading
+            single.register(speaker_id, model)
+        for name in ("means", "covs", "counts", "inverses", "log_dets", "loadings"):
+            np.testing.assert_array_equal(getattr(single.stack, name), getattr(batch.stack, name))
 
     def test_from_models_rejects_non_pd_model(self):
         rng = np.random.default_rng(4)
@@ -199,8 +205,7 @@ class TestScoreMatrix:
         for i, model in enumerate(refs):
             registry.register(f"s{i}", model)
         tests = [_random_model(rng, 8) for _ in range(9)]
-        facts = [factorize(m) for m in tests]
-        matrix = score_matrix(registry, stack_models(tests, facts), kind, conv)
+        matrix = score_matrix(registry, stack_models(tests), kind, conv)
         assert matrix.shape == (9, 6)
         for t, test in enumerate(tests):
             for r, ref in enumerate(refs):
@@ -215,9 +220,8 @@ class TestScoreMatrix:
         for i in range(5):
             registry.register(f"s{i}", _random_model(rng, 6))
         tests = [_random_model(rng, 6) for _ in range(20)]
-        facts = [factorize(m) for m in tests]
         for kind in MEASURE_KINDS:
-            matrix = score_matrix(registry, stack_models(tests, facts), kind)
+            matrix = score_matrix(registry, stack_models(tests), kind)
             bulk = decisions_from_scores(registry, matrix)
             single = [identify(registry, m, kind).decision for m in tests]
             assert bulk == single

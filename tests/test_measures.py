@@ -200,34 +200,21 @@ class TestDispatchAndErrors:
         with pytest.raises(ValueError):
             mu_g(ref, test)
 
-    def test_precomputed_factorizations_give_identical_values(self):
-        rng = np.random.default_rng(5)
-        ref, test = _random_pair(rng, 8)
-        rf, tf = factorize(ref), factorize(test)
-        for kind in MEASURE_KINDS:
-            lazy = evaluate(kind, ref, test)
-            cached = evaluate(kind, ref, test, ref_fact=rf, test_fact=tf)
-            assert lazy == cached
-
-
-def _stack(models):
-    return stack_models(models, [factorize(m) for m in models])
-
 
 class TestMeasureMatrix:
     @pytest.mark.parametrize("kind", MEASURE_KINDS)
     def test_empty_test_stack_gives_empty_rows(self, kind):
         rng = np.random.default_rng(6)
-        refs = _stack([_random_pair(rng, 4)[0] for _ in range(3)])
+        refs = stack_models([_random_pair(rng, 4)[0] for _ in range(3)])
         tests = stack_blocks([np.empty((0, 50, 4))])
         assert measure_matrix(kind, refs, tests).shape == (0, 3)
 
     @pytest.mark.parametrize("kind", MEASURE_KINDS)
     def test_rows_past_the_mean_term_chunk_match_one_row_calls(self, kind):
         rng = np.random.default_rng(7)
-        refs = _stack([_random_pair(rng, 5)[0] for _ in range(4)])
+        refs = stack_models([_random_pair(rng, 5)[0] for _ in range(4)])
         tests = [_random_pair(rng, 5)[1] for _ in range(2 * _QUAD_CHUNK + 3)]
-        matrix = measure_matrix(kind, refs, _stack(tests))
+        matrix = measure_matrix(kind, refs, stack_models(tests))
         for t, test in enumerate(tests):
-            row = measure_matrix(kind, refs, _stack([test]))[0]
+            row = measure_matrix(kind, refs, stack_models([test]))[0]
             np.testing.assert_allclose(matrix[t], row, rtol=1e-12, atol=1e-12)
