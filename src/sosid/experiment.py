@@ -36,6 +36,7 @@ from .errors import (
     ConfigurationError,
     DegenerateModelError,
     InsufficientDataError,
+    SosidError,
 )
 from .frontend import (
     FrontendConfig,
@@ -44,8 +45,8 @@ from .frontend import (
     load_wav,
 )
 from .gaussian import SegmentMoments, stack_blocks, stack_moments
-from .identify import SpeakerRegistry, decisions_from_scores, score_matrix
-from .measures import MEASURE_KINDS, SC_CONVENTIONS, SC_DECOMPOSITION
+from .identify import SpeakerRegistry, decisions_from_scores
+from .measures import MEASURE_KINDS, SC_CONVENTIONS, SC_DECOMPOSITION, measure_matrices
 from .phonetic import (
     CLASS_ORDER,
     DEFAULT_POST_FRAMES,
@@ -153,6 +154,7 @@ def load_corpus(
     base = Path(base_dir) if base_dir is not None else Path(".")
     cfg = frontend_config if frontend_config is not None else FrontendConfig()
     speakers = []
+    dim = None  # every sentence needs the first one's column count
     for speaker_id, refs in manifest.speakers:
         sentences = []
         for ref in refs:
@@ -160,6 +162,12 @@ def load_corpus(
                 frames = load_features_csv(base / ref.features).vectors
             else:
                 frames = extract_features(load_wav(base / ref.audio), cfg).vectors
+            dim = frames.shape[1] if dim is None else dim
+            if frames.shape[1] != dim:
+                raise SosidError(
+                    f"{base / (ref.features or ref.audio)}: {frames.shape[1]} feature "
+                    f"columns, but the corpus's earlier sentences have {dim}"
+                )
             alignment = (
                 parse_alignment(base / ref.alignment) if ref.alignment else None
             )
@@ -293,11 +301,14 @@ def _cell_from_results(
 
 
 def _score_cells(registry, tests, owners, kinds, sc_convention, min_tests=None) -> dict:
-    """One cell per measure kind: every test of a stack scored against every speaker."""
+    """One cell per measure kind: every test of a stack scored against every speaker.
+
+    All kinds come from one ``measure_matrices`` call, so the terms they
+    share are computed once per cell.
+    """
     n_loaded = int(np.count_nonzero(tests.loadings))
     cells = {}
-    for kind in kinds:
-        values = score_matrix(registry, tests, kind, sc_convention)
+    for kind, values in measure_matrices(kinds, registry.stack, tests, sc_convention).items():
         decisions = decisions_from_scores(registry, values)
         results = [
             (owner, decision == owner) for owner, decision in zip(owners, decisions)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 import wave
 from dataclasses import asdict, dataclass
 
@@ -261,8 +262,22 @@ def save_features_csv(frames, path) -> None:
 
 
 def load_features_csv(path, frame_period: float = 0.010) -> SpectralFrames:
-    """Read features written by :func:`save_features_csv`."""
-    vectors = np.loadtxt(path, delimiter=",", ndmin=2)
+    """Read features written by :func:`save_features_csv`.
+
+    A file that does not parse as a numeric table, or has no rows, is a
+    :class:`SosidError` naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        with warnings.catch_warnings():
+            # an input without rows is reported below, naming the file
+            warnings.simplefilter("ignore", UserWarning)
+            vectors = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise SosidError(f"{path}: not a numeric feature table: {exc}") from None
+    if len(vectors) == 0:
+        raise SosidError(f"{path}: no feature rows")
     if not np.isfinite(vectors).all():
         raise SosidError(f"{path}: feature values must be finite (found NaN or inf)")
     return SpectralFrames(vectors=vectors, frame_period=frame_period)

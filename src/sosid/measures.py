@@ -24,10 +24,12 @@ which is non-negative by the AM-GM inequality. "as-printed" flips the sign
 of the determinant term; the two agree whenever M = N and the flag exists
 only so both readings can be compared on unbalanced counts.
 
-The formulas exist once, in :func:`measure_matrix`, which scores every
-test of one :class:`ModelStack` against every reference of another. The
-scalar functions (:func:`evaluate`, :func:`mu_g`, :func:`mu_gc`,
-:func:`mu_sc`) are one-row views of it.
+The formulas exist once, in :func:`measure_matrices`, which scores every
+test of one :class:`ModelStack` against every reference of another for
+any set of measures, computing the traces and the log-det ratio they
+share once. :func:`measure_matrix` is its one-kind view, and the scalar
+functions (:func:`evaluate`, :func:`mu_g`, :func:`mu_gc`, :func:`mu_sc`)
+are one-row views of that.
 """
 
 from __future__ import annotations
@@ -49,15 +51,21 @@ SC_CONVENTIONS = (SC_DECOMPOSITION, SC_AS_PRINTED)
 _QUAD_CHUNK = 64
 
 
-def measure_matrix(
-    kind: str,
+def measure_matrices(
+    kinds,
     refs: ModelStack,
     tests: ModelStack,
     sc_convention: str = SC_DECOMPOSITION,
-) -> np.ndarray:
-    """(n_tests, n_refs) matrix of one measure over every test/reference pair."""
-    if kind not in MEASURE_KINDS:
-        raise ValueError(f"unknown measure kind {kind!r}")
+) -> dict:
+    """Kind -> (n_tests, n_refs) matrix for each requested measure, in the order given.
+
+    The weights, both traces and the log-det ratio are computed once and
+    shared by every kind.
+    """
+    kinds = tuple(kinds)
+    for kind in kinds:
+        if kind not in MEASURE_KINDS:
+            raise ValueError(f"unknown measure kind {kind!r}")
     if sc_convention not in SC_CONVENTIONS:
         raise ValueError(f"unknown mu_sc convention {sc_convention!r}")
     if refs.dim != tests.dim:
@@ -72,34 +80,54 @@ def measure_matrix(
     n_t, n_r = len(tests), len(refs)
     tr1 = tests.covs.reshape(n_t, p * p) @ refs.inverses.reshape(n_r, p * p).T
     tr2 = tests.inverses.reshape(n_t, p * p) @ refs.covs.reshape(n_r, p * p).T
-    ldr = tests.log_dets[:, None] - refs.log_dets[None, :]
+    skew = (a - b) * (tests.log_dets[:, None] - refs.log_dets[None, :])
 
-    if kind == MU_SC:
-        base = a * np.log(tr1) + b * np.log(tr2) - np.log(p)
-        if sc_convention == SC_DECOMPOSITION:
-            return base - (a - b) * ldr / p
-        return base + (a - b) * ldr / p
+    matrices = {}
+    cov_part = None
+    for kind in kinds:
+        if kind == MU_SC:
+            base = a * np.log(tr1) + b * np.log(tr2) - np.log(p)
+            if sc_convention == SC_DECOMPOSITION:
+                matrices[kind] = base - skew / p
+            else:
+                matrices[kind] = base + skew / p
+            continue
+        if cov_part is None:
+            cov_part = (a * tr1 + b * tr2 - skew) / p - 1.0
+        matrices[kind] = cov_part if kind == MU_GC else cov_part + _mean_term(a, b, refs, tests)
+    return matrices
 
-    values = (a * tr1 + b * tr2 - (a - b) * ldr) / p - 1.0
-    if kind == MU_G:
-        diff = tests.means[:, None, :] - refs.means[None, :, :]
-        quad_ref = np.empty_like(values)
-        quad_test = np.empty_like(values)
-        # The work buffer holds at most _QUAD_CHUNK tests, so diff stays the
-        # only (n_tests, n_refs, p) array.
-        work = np.empty((min(n_t, _QUAD_CHUNK), n_r, p))
-        for lo in range(0, n_t, _QUAD_CHUNK):
-            rows = slice(lo, lo + _QUAD_CHUNK)
-            d = diff[rows]
-            w = work[: len(d)]
-            # diff^T Y^-1 diff, batched over tests
-            np.matmul(d, tests.inverses[rows], out=w)
-            quad_test[rows] = np.einsum("trp,trp->tr", w, d)
-            # diff^T X^-1 diff, batched over references through transposed views
-            np.matmul(d.transpose(1, 0, 2), refs.inverses, out=w.transpose(1, 0, 2))
-            quad_ref[rows] = np.einsum("trp,trp->tr", w, d)
-        values += (a * quad_ref + b * quad_test) / p
-    return values
+
+def _mean_term(a, b, refs: ModelStack, tests: ModelStack) -> np.ndarray:
+    """(1/p) diff^T [a X^-1 + b Y^-1] diff for every test/reference pair."""
+    (n_t, n_r), p = a.shape, refs.dim
+    diff = tests.means[:, None, :] - refs.means[None, :, :]
+    quad_ref = np.empty((n_t, n_r))
+    quad_test = np.empty((n_t, n_r))
+    # The work buffer holds at most _QUAD_CHUNK tests, so diff stays the
+    # only (n_tests, n_refs, p) array.
+    work = np.empty((min(n_t, _QUAD_CHUNK), n_r, p))
+    for lo in range(0, n_t, _QUAD_CHUNK):
+        rows = slice(lo, lo + _QUAD_CHUNK)
+        d = diff[rows]
+        w = work[: len(d)]
+        # diff^T Y^-1 diff, batched over tests
+        np.matmul(d, tests.inverses[rows], out=w)
+        quad_test[rows] = np.einsum("trp,trp->tr", w, d)
+        # diff^T X^-1 diff, batched over references through transposed views
+        np.matmul(d.transpose(1, 0, 2), refs.inverses, out=w.transpose(1, 0, 2))
+        quad_ref[rows] = np.einsum("trp,trp->tr", w, d)
+    return (a * quad_ref + b * quad_test) / p
+
+
+def measure_matrix(
+    kind: str,
+    refs: ModelStack,
+    tests: ModelStack,
+    sc_convention: str = SC_DECOMPOSITION,
+) -> np.ndarray:
+    """(n_tests, n_refs) matrix of one measure over every test/reference pair."""
+    return measure_matrices((kind,), refs, tests, sc_convention)[kind]
 
 
 def evaluate(

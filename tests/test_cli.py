@@ -177,6 +177,27 @@ class TestTrainAndIdentify:
         joined = header + "".join(sheet[len(header):] for sheet in sheets)
         assert capsys.readouterr().out == joined
 
+    def test_consecutive_calls_share_no_parser_state(self, corpus_dir, tmp_path, capsys):
+        store = tmp_path / "store"
+        main(["train", "--manifest", str(corpus_dir / "manifest.json"), "--out", str(store)])
+        features = str(corpus_dir / "spk002" / "s006.csv")
+        flag_sets = [
+            ["--out", str(tmp_path / "first.csv")],
+            [],
+            ["--measure", "mu_sc", "--sc-convention", "as-printed"],
+            ["--measure", "mu_sc"],
+            ["--measure", "mu_sc"],
+            [],
+        ]
+        sheets = []
+        for flags in flag_sets:
+            assert main(["identify", "--store", str(store), *flags, features]) == 0
+            sheets.append(capsys.readouterr().out)
+        # --out, an appended --measure and --sc-convention hold for their own call only
+        assert sheets[0] == "" and (tmp_path / "first.csv").read_text() == sheets[1]
+        assert sheets[1] == sheets[5] != sheets[3]
+        assert sheets[3] == sheets[4] != sheets[2]
+
 
 class TestEvalCommands:
     def test_eval_duration_csv(self, corpus_dir, tmp_path):
@@ -371,6 +392,55 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "narrow.csv" in err
         assert "dimension 5" in err and "store's 6" in err
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("1,2,3,4,5,6\n1,2,3\n", "number of columns changed"),
+            ("1,2,3,4,x,6\n", "could not convert"),
+            ("", "no feature rows"),
+            ("\n\n", "no feature rows"),
+        ],
+        ids=["ragged", "non-numeric", "empty", "blank-lines"],
+    )
+    def test_malformed_features_are_data_errors(self, corpus_dir, tmp_path, capsys, text, named):
+        store = tmp_path / "store"
+        main(["train", "--manifest", str(corpus_dir / "manifest.json"), "--out", str(store)])
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert main(["identify", "--store", str(store), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.csv" in err and named in err
+
+    @pytest.mark.parametrize(
+        "command, sentences, text, named",
+        [
+            ("train", "s003", "", "no feature rows"),
+            ("train", "s003", "1,2,3,4,5\n6,7,8,9,10\n", "5 feature columns"),
+            ("eval-duration", "s*", "1,2,3,4,5\n6,7,8,9,10\n", "5 feature columns"),
+            ("eval-phonetic", "s003", "1,2,3,4,5,6\n1,2,3\n", "number of columns changed"),
+            ("eval-phonetic", "s003", "1,2,3,4,x,6\n", "could not convert"),
+        ],
+        ids=[
+            "train-empty",
+            "train-narrow-sentence",
+            "duration-narrow-speaker",
+            "phonetic-ragged",
+            "phonetic-non-numeric",
+        ],
+    )
+    def test_malformed_manifest_features_are_data_errors(
+        self, corpus_dir, tmp_path, capsys, command, sentences, text, named
+    ):
+        for path in (corpus_dir / "spk001").glob(f"{sentences}.csv"):
+            path.write_text(text)
+        args = [command, "--manifest", str(corpus_dir / "manifest.json")]
+        if command == "train":
+            args += ["--out", str(tmp_path / "store")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "spk001/s00" in err and named in err
+        assert not (tmp_path / "store").exists()
 
     def test_unknown_frontend_config_key_is_data_error(self, tmp_path):
         config = tmp_path / "fc.json"

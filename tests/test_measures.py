@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sosid.gaussian import GaussianModel, factorize, stack_blocks, stack_models
 from sosid.measures import (
     _QUAD_CHUNK,
     MEASURE_KINDS,
+    MU_G,
+    MU_GC,
     SC_AS_PRINTED,
+    SC_CONVENTIONS,
     SC_DECOMPOSITION,
     evaluate,
+    measure_matrices,
     measure_matrix,
     mu_g,
     mu_gc,
@@ -218,3 +223,33 @@ class TestMeasureMatrix:
         for t, test in enumerate(tests):
             row = measure_matrix(kind, refs, stack_models([test]))[0]
             np.testing.assert_allclose(matrix[t], row, rtol=1e-12, atol=1e-12)
+
+
+class TestMeasureMatrices:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        order=st.permutations(MEASURE_KINDS),
+        n_kinds=st.integers(1, len(MEASURE_KINDS)),
+        convention=st.sampled_from(SC_CONVENTIONS),
+        n_tests=st.sampled_from([0, 1, _QUAD_CHUNK + 5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_kind_equals_its_one_kind_matrix(self, order, n_kinds, convention, n_tests, seed):
+        kinds = tuple(order[:n_kinds])
+        rng = np.random.default_rng(seed)
+        refs = stack_models([_random_pair(rng, 3)[0] for _ in range(4)])
+        if n_tests:
+            tests = stack_models([_random_pair(rng, 3)[1] for _ in range(n_tests)])
+        else:
+            tests = stack_blocks([np.empty((0, 50, 3))])
+        matrices = measure_matrices(kinds, refs, tests, convention)
+        assert tuple(matrices) == kinds
+        for kind, values in matrices.items():
+            assert np.array_equal(values, measure_matrix(kind, refs, tests, convention))
+        if MU_G in matrices and MU_GC in matrices:
+            assert not np.shares_memory(matrices[MU_G], matrices[MU_GC])
+
+    def test_unknown_kind_rejected_among_known_ones(self):
+        refs = stack_models([_model(0.0, 1.0, 2)])
+        with pytest.raises(ValueError, match="unknown measure kind 'mu_x'"):
+            measure_matrices((MU_G, "mu_x"), refs, refs)
