@@ -60,7 +60,6 @@ from .phonetic import (
     CLASS_ORDER,
     AlignmentTrack,
     PhonemeClassTaxonomy,
-    TestAssembly,
     assemble_tests,
     default_taxonomy,
     expand_kernels,

@@ -66,6 +66,15 @@ FRAMES_PER_SECOND = 100  # 10 ms frame period
 _SHUFFLE_STREAM = 2
 
 
+def _check_measures(kinds, sc_convention: str) -> None:
+    """A ConfigurationError for a measure kind or mu_sc convention sosid does not know."""
+    unknown = set(kinds) - set(MEASURE_KINDS)
+    if unknown:
+        raise ConfigurationError(f"unknown measures: {sorted(unknown)}")
+    if sc_convention not in SC_CONVENTIONS:
+        raise ConfigurationError(f"unknown mu_sc convention {sc_convention!r}")
+
+
 def _seconds_to_frames(seconds: float, frames_per_second: int) -> int:
     """Frames in ``seconds`` of material; a ConfigurationError naming it below 2."""
     if not math.isfinite(seconds):
@@ -109,21 +118,47 @@ class CorpusManifest:
             raise ConfigurationError("duplicate speaker ids in manifest")
 
 
+def _manifest_field(obj, where: str, key: str, kind, optional: bool = False):
+    """``obj[key]`` of a manifest document; a ConfigurationError if missing or ill-typed."""
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{where} is not a JSON object")
+    value = obj.get(key)
+    if isinstance(value, kind) or (optional and value is None):
+        return value
+    problem = "missing" if key not in obj else "not an array" if kind is list else "not a string"
+    raise ConfigurationError(f"{where} field {key!r} is {problem}")
+
+
 def load_manifest(path) -> CorpusManifest:
-    """Read a manifest JSON file; relative paths stay relative here."""
+    """Read a manifest JSON file; relative paths stay relative here.
+
+    A missing or ill-typed field, or a manifest that breaks a rule of
+    :class:`SentenceRef` or :class:`CorpusManifest`, is a ConfigurationError
+    naming the file.
+    """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    speakers = []
-    for entry in doc["speakers"]:
-        sentences = tuple(
-            SentenceRef(
-                features=item.get("features"),
-                audio=item.get("audio"),
-                alignment=item.get("alignment"),
+    try:
+        speakers = []
+        for i, entry in enumerate(_manifest_field(doc, "manifest", "speakers", list)):
+            where = f"speakers[{i}]"
+            speaker_id = _manifest_field(entry, where, "id", str)
+            sentences = tuple(
+                SentenceRef(
+                    *(
+                        _manifest_field(item, f"{where}.sentences[{j}]", key, str, True)
+                        for key in ("features", "audio", "alignment")
+                    )
+                )
+                for j, item in enumerate(_manifest_field(entry, where, "sentences", list))
             )
-            for item in entry["sentences"]
-        )
-        speakers.append((entry["id"], sentences))
-    return CorpusManifest(speakers=tuple(speakers), seed=int(doc.get("seed", 0)))
+            speakers.append((speaker_id, sentences))
+        try:
+            seed = int(doc.get("seed", 0))
+        except (TypeError, ValueError):
+            raise ConfigurationError("manifest field 'seed' is not an integer") from None
+        return CorpusManifest(speakers=tuple(speakers), seed=seed)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -192,11 +227,7 @@ class DurationProtocolConfig:
             raise ConfigurationError("duration lists must be non-empty")
         if self.max_tests_per_speaker < 1:
             raise ConfigurationError("max_tests_per_speaker must be >= 1")
-        unknown = set(self.measures) - set(MEASURE_KINDS)
-        if unknown:
-            raise ConfigurationError(f"unknown measures: {sorted(unknown)}")
-        if self.sc_convention not in SC_CONVENTIONS:
-            raise ConfigurationError(f"unknown mu_sc convention {self.sc_convention!r}")
+        _check_measures(self.measures, self.sc_convention)
         if self.frames_per_second < 1:
             raise ConfigurationError("frames_per_second must be >= 1")
         for duration in self.train_durations + self.test_durations:
@@ -409,10 +440,9 @@ def run_phonetic_experiment(
     sc_convention: str = SC_DECOMPOSITION,
     pre_frames: int = DEFAULT_PRE_FRAMES,
     post_frames: int = DEFAULT_POST_FRAMES,
-    frames_per_second: int = FRAMES_PER_SECOND,
 ) -> ExperimentReport:
     """Score phonetically biased one-second tests against unbiased training."""
-    train_f = _seconds_to_frames(train_seconds, frames_per_second)
+    train_f = _seconds_to_frames(train_seconds, FRAMES_PER_SECOND)
     if test_len < 2:
         raise ConfigurationError(f"test length must be at least 2 frames, got {test_len}")
     if min_tests < 0:
@@ -421,8 +451,7 @@ def run_phonetic_experiment(
         raise ConfigurationError(
             f"kernel widening must be >= 0 frames, got pre {pre_frames}, post {post_frames}"
         )
-    if sc_convention not in SC_CONVENTIONS:
-        raise ConfigurationError(f"unknown mu_sc convention {sc_convention!r}")
+    _check_measures(kinds, sc_convention)
     if not isinstance(corpus, LoadedCorpus):
         corpus = load_corpus(corpus)
     if taxonomy is None:
@@ -479,7 +508,7 @@ def run_phonetic_experiment(
         "sc": sc_convention,
         "pre": pre_frames,
         "post": post_frames,
-        "fps": frames_per_second,
+        "fps": FRAMES_PER_SECOND,
         "taxonomy": {k: sorted(v) for k, v in taxonomy.classes.items()},
     }
     digest = hashlib.sha256(
@@ -501,15 +530,12 @@ def run_phonetic_experiment(
                     selector,
                     taxonomy,
                 )
-                assembly = assemble_tests(pooled, test_len, speaker_id, selector)
-                owners.extend([speaker_id] * len(assembly))
-                yield assembly.tests
+                blocks = assemble_tests(pooled, test_len)
+                owners.extend([speaker_id] * len(blocks))
+                yield blocks
 
-        # stack_blocks consumes speaker_tests, which fills owners, before
-        # _score_cells runs
-        cells = _score_cells(
-            registry, stack_blocks(speaker_tests()), owners, kinds, sc_convention, min_tests
-        )
+        tests = stack_blocks(speaker_tests())
+        cells = _score_cells(registry, tests, owners, kinds, sc_convention, min_tests)
         for kind, cell in cells.items():
             report.cells[(selector, kind)] = cell
     return report

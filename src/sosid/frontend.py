@@ -261,7 +261,7 @@ def save_features_csv(frames, path) -> None:
     np.savetxt(path, vectors, fmt="%.17g", delimiter=",")
 
 
-def load_features_csv(path, frame_period: float = 0.010) -> SpectralFrames:
+def load_features_csv(path) -> SpectralFrames:
     """Read features written by :func:`save_features_csv`.
 
     A file that does not parse as a numeric table, or has no rows, is a
@@ -275,9 +275,11 @@ def load_features_csv(path, frame_period: float = 0.010) -> SpectralFrames:
             warnings.simplefilter("ignore", UserWarning)
             vectors = np.loadtxt(lines, delimiter=",", ndmin=2)
     except ValueError as exc:
-        raise SosidError(f"{path}: not a numeric feature table: {exc}") from None
+        # numpy's advice to pass ``usecols`` is not one a sosid user can take
+        reason = str(exc).split("; use `usecols`")[0]
+        raise SosidError(f"{path}: not a numeric feature table: {reason}") from None
     if len(vectors) == 0:
         raise SosidError(f"{path}: no feature rows")
     if not np.isfinite(vectors).all():
         raise SosidError(f"{path}: feature values must be finite (found NaN or inf)")
-    return SpectralFrames(vectors=vectors, frame_period=frame_period)
+    return SpectralFrames(vectors=vectors)

@@ -56,7 +56,7 @@ class GaussianModel:
         return self.mean.size
 
     @classmethod
-    def from_frames(cls, vectors, allow_loading: bool = True) -> "GaussianModel":
+    def from_frames(cls, vectors) -> "GaussianModel":
         """Estimate a model from a (n_frames, p) array in one pass.
 
         This is the one-block case of :func:`stack_blocks`, with its count
@@ -66,7 +66,7 @@ class GaussianModel:
         vectors = np.asarray(vectors, dtype=float)
         if vectors.ndim != 2 or vectors.shape[1] < 1:
             raise ValueError(f"vectors must be a (n_frames, p >= 1) array, got {vectors.shape}")
-        stack = stack_blocks([vectors[None]], allow_loading)
+        stack = stack_blocks([vectors[None]])
         return cls(mean=stack.means[0], cov=stack.covs[0], count=len(vectors))
 
 
@@ -111,16 +111,16 @@ class SpdFactorization:
         return self.factor.shape[0]
 
 
-def factorize(model, allow_loading: bool = True) -> SpdFactorization:
+def factorize(model) -> SpdFactorization:
     """Factorize a model's covariance (or a raw SPD matrix).
 
     On Cholesky failure, a single diagonal loading of
-    DEFAULT_LOADING_SCALE * trace(cov) / p is attempted when allow_loading
-    is set; the applied amount is reported through the result's ``loading``
-    field. A model's row of :func:`stack_models` holds the same values.
+    DEFAULT_LOADING_SCALE * trace(cov) / p is attempted; the applied amount
+    is reported through the result's ``loading`` field. A model's row of
+    :func:`stack_models` holds the same values.
     """
     cov = model.cov if isinstance(model, GaussianModel) else np.asarray(model, dtype=float)
-    factors, loadings, log_dets, inverses = _factorize_stack(np.stack([cov]), allow_loading)
+    factors, loadings, log_dets, inverses = _factorize_stack(np.stack([cov]))
     return SpdFactorization(
         factor=factors[0],
         log_det=float(log_dets[0]),
@@ -129,14 +129,14 @@ def factorize(model, allow_loading: bool = True) -> SpdFactorization:
     )
 
 
-def _cholesky_with_loading(cov, allow_loading: bool):
+def _cholesky_with_loading(cov):
     """(lower factor, loading) of one covariance under the loading policy."""
     try:
         return np.linalg.cholesky(cov), 0.0
     except np.linalg.LinAlgError:
         pass
     loading = DEFAULT_LOADING_SCALE * max(np.trace(cov), 0.0) / cov.shape[0]
-    if not allow_loading or loading <= 0.0:
+    if loading <= 0.0:
         raise NotPositiveDefiniteError(
             f"covariance of dimension {cov.shape[0]} is not positive definite"
         )
@@ -149,7 +149,7 @@ def _cholesky_with_loading(cov, allow_loading: bool):
         ) from None
 
 
-def _factorize_stack(covs, allow_loading: bool):
+def _factorize_stack(covs):
     """Factors, loadings, log-dets and inverses of a (n, p, p) covariance stack.
 
     One batched Cholesky serves the common case; only when it fails is each
@@ -162,7 +162,7 @@ def _factorize_stack(covs, allow_loading: bool):
     except np.linalg.LinAlgError:
         factors = np.empty_like(covs)
         for i, cov in enumerate(covs):
-            factors[i], loadings[i] = _cholesky_with_loading(cov, allow_loading)
+            factors[i], loadings[i] = _cholesky_with_loading(cov)
     log_dets = 2.0 * np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1)
     # inverse = L^-T L^-1; a positive Cholesky diagonal makes trtri succeed
     inv_factors = np.empty_like(factors)
@@ -198,9 +198,9 @@ class ModelStack:
         )
 
 
-def _factorized(means, covs, counts, allow_loading: bool = True) -> ModelStack:
+def _factorized(means, covs, counts) -> ModelStack:
     """Stack of estimated models, their covariances factorized as one batch."""
-    _, loadings, log_dets, inverses = _factorize_stack(covs, allow_loading)
+    _, loadings, log_dets, inverses = _factorize_stack(covs)
     return ModelStack(means, covs, counts, inverses, log_dets, loadings)
 
 
@@ -299,7 +299,7 @@ class SegmentMoments:
         return sums, outers, np.concatenate(counts).astype(float)
 
 
-def stack_moments(moments, allow_loading: bool = True) -> ModelStack:
+def stack_moments(moments) -> ModelStack:
     """Estimate and factorize one model per row of a (sums, outers, counts) triple.
 
     Raw sums are finalized with the one-pass ML formula and factorized as
@@ -311,14 +311,14 @@ def stack_moments(moments, allow_loading: bool = True) -> ModelStack:
     means, covs = _ml_moments(sums, outers, counts)
     del sums, outers  # raw moments are not needed while factorizing
     try:
-        return _factorized(means, covs, counts, allow_loading)
+        return _factorized(means, covs, counts)
     except NotPositiveDefiniteError as exc:
         raise DegenerateModelError(
             f"covariance of a frame block is not positive definite: {exc}"
         ) from exc
 
 
-def stack_blocks(block_sets, allow_loading: bool = True) -> ModelStack:
+def stack_blocks(block_sets) -> ModelStack:
     """Estimate and factorize one model per frame block, as one batch.
 
     ``block_sets`` is an iterable of (n_blocks, frames, p) arrays, typically
@@ -326,7 +326,7 @@ def stack_blocks(block_sets, allow_loading: bool = True) -> ModelStack:
     time, so a generator keeps only one set alive. Fewer than 2 frames per
     block is a DegenerateModelError and fewer than p + 1 a warning.
     """
-    return stack_moments(_concat_moments(map(_block_moments, block_sets)), allow_loading)
+    return stack_moments(_concat_moments(map(_block_moments, block_sets)))
 
 
 def _concat_moments(moment_sets):

@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AlignmentError, TaxonomyError
-from .frontend import SpectralFrames
 
 DEFAULT_PRE_FRAMES = 5
 DEFAULT_POST_FRAMES = 5
@@ -59,10 +58,6 @@ def _validate_entries(entries, source: str) -> tuple:
     entries = sorted(entries, key=lambda e: (e[1], e[2]))
     previous_end = -1
     for label, start, end in entries:
-        if start < 0:
-            raise AlignmentError(f"{source}: kernel start {start} is negative")
-        if end < start:
-            raise AlignmentError(f"{source}: kernel [{start}, {end}] is reversed")
         if start <= previous_end:
             raise AlignmentError(
                 f"{source}: kernel [{start}, {end}] overlaps the previous one"
@@ -254,66 +249,36 @@ def save_taxonomy(taxonomy: PhonemeClassTaxonomy, path) -> None:
     )
 
 
-def _frame_matrix(features) -> np.ndarray:
-    return features.vectors if isinstance(features, SpectralFrames) else np.asarray(features)
-
-
 def select_frames(
-    features,
+    frames,
     segments,
     selector: str,
     taxonomy: PhonemeClassTaxonomy | None = None,
-) -> SpectralFrames:
-    """Concatenate the frames of every segment whose label matches selector."""
+) -> np.ndarray:
+    """Concatenate the rows of a (n, p) frame array of every segment matching selector."""
     if taxonomy is None:
         taxonomy = default_taxonomy()
     matching = taxonomy.members(selector)
-    vectors = _frame_matrix(features)
-    period = features.frame_period if isinstance(features, SpectralFrames) else 0.010
     picked = []
     for label, start, end in segments:
-        if end >= len(vectors):
+        if end >= len(frames):
             raise ValueError(
-                f"segment [{start}, {end}] exceeds feature length {len(vectors)}"
+                f"segment [{start}, {end}] exceeds feature length {len(frames)}"
             )
         if label in matching:
-            picked.append(vectors[start : end + 1])
+            picked.append(frames[start : end + 1])
     if not picked:
-        return SpectralFrames(
-            vectors=np.empty((0, vectors.shape[1])), frame_period=period
-        )
-    return SpectralFrames(vectors=np.concatenate(picked), frame_period=period)
+        return np.empty((0, frames.shape[1]))
+    return np.concatenate(picked)
 
 
-@dataclass(frozen=True)
-class TestAssembly:
-    """Fixed-length test blocks cut from one speaker's pooled frames.
-
-    ``tests`` is a (n_tests, test_len, p) view of the pooled frames.
-    """
-
-    speaker_id: str
-    selector: str
-    tests: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.tests)
-
-
-def assemble_tests(
-    features,
-    test_len: int = DEFAULT_TEST_FRAMES,
-    speaker_id: str = "",
-    selector: str = "",
-) -> TestAssembly:
-    """Cut pooled frames into consecutive blocks of exactly test_len frames.
+def assemble_tests(frames, test_len: int = DEFAULT_TEST_FRAMES) -> np.ndarray:
+    """Cut pooled (m, p) frames into a (n_tests, test_len, p) view of consecutive blocks.
 
     Leftover frames shorter than a full test are discarded; zero tests is a
     valid result.
     """
     if test_len < 1:
         raise ValueError(f"test_len must be >= 1, got {test_len}")
-    vectors = _frame_matrix(features)
-    n_tests = len(vectors) // test_len
-    tests = vectors[: n_tests * test_len].reshape(n_tests, test_len, vectors.shape[1])
-    return TestAssembly(speaker_id=speaker_id, selector=selector, tests=tests)
+    n_tests = len(frames) // test_len
+    return frames[: n_tests * test_len].reshape(n_tests, test_len, frames.shape[1])

@@ -411,6 +411,7 @@ class TestExitCodes:
         assert main(["identify", "--store", str(store), str(bad)]) == 2
         err = capsys.readouterr().err
         assert "bad.csv" in err and named in err
+        assert "usecols" not in err
 
     @pytest.mark.parametrize(
         "command, sentences, text, named",
@@ -440,6 +441,54 @@ class TestExitCodes:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "spk001/s00" in err and named in err
+        assert "usecols" not in err
+        assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval-duration"])
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda doc: {}, "manifest field 'speakers' is missing"),
+            (lambda doc: [doc], "manifest is not a JSON object"),
+            (lambda doc: {**doc, "speakers": "spk000"}, "'speakers' is not an array"),
+            (
+                lambda doc: {**doc, "speakers": [{"sentences": []}, *doc["speakers"]]},
+                "speakers[0] field 'id' is missing",
+            ),
+            (
+                lambda doc: {**doc, "speakers": [*doc["speakers"], {"id": "x"}]},
+                "speakers[3] field 'sentences' is missing",
+            ),
+            (
+                lambda doc: {**doc, "speakers": [{"id": "x", "sentences": [{"features": 1}]}]},
+                "speakers[0].sentences[0] field 'features' is not a string",
+            ),
+            (lambda doc: {**doc, "seed": "many"}, "'seed' is not an integer"),
+            (
+                lambda doc: {**doc, "speakers": [{"id": "x", "sentences": [{}]}]},
+                "exactly one of 'features' or 'audio'",
+            ),
+            (
+                lambda doc: {**doc, "speakers": doc["speakers"] * 2},
+                "duplicate speaker ids",
+            ),
+        ],
+        ids=[
+            "empty", "list", "speakers-string", "no-id", "no-sentences", "number-path",
+            "seed", "no-source", "duplicate-id",
+        ],
+    )
+    def test_malformed_manifest_is_data_error(
+        self, corpus_dir, tmp_path, capsys, command, edit, named
+    ):
+        manifest = corpus_dir / "manifest.json"
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        args = [command, "--manifest", str(manifest)]
+        if command == "train":
+            args += ["--out", str(tmp_path / "store")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and named in err
         assert not (tmp_path / "store").exists()
 
     def test_unknown_frontend_config_key_is_data_error(self, tmp_path):

@@ -231,6 +231,10 @@ class TestDurationExperiment:
         assert keys[3] == (6.0, 1.0, "mu_g")
         assert keys[6] == (2.0, 3.0, "mu_g")
 
+    def test_config_digest_is_pinned(self):
+        # the digest is written into every duration report
+        assert DurationProtocolConfig().digest() == "22436463faca"
+
     def test_insufficient_material_names_speaker(self):
         corpus = _easy_corpus(frames=900)
         with pytest.raises(InsufficientDataError, match="spk00"):
@@ -372,6 +376,15 @@ class TestPhoneticExperiment:
         assert all_cell.global_accuracy == 100.0  # widely separated speakers
         assert ("NasalConsonants", "mu_sc") in report.cells
 
+    def test_config_digest_is_pinned(self):
+        # the digest is written into every phonetic report
+        corpus = make_corpus(
+            SynthCorpusConfig(
+                n_speakers=2, dim=3, frames_per_speaker=1700, sentence_len_frames=250, seed=3
+            )
+        )
+        assert run_phonetic_experiment(corpus).metadata["config"] == "b17597d79428"
+
     def test_empty_selector_reports_zero_tests(self):
         _, corpus = _labeled_corpus()
         report = run_phonetic_experiment(corpus, selectors=("LiquidsGlides",))
@@ -476,10 +489,12 @@ class TestPhoneticExperiment:
             ({"pre_frames": -1}, "pre -1"),
             ({"post_frames": -2}, "post -2"),
             ({"sc_convention": "sideways"}, "sideways"),
+            ({"kinds": ("mu_g", "mu_x")}, "unknown measures: ['mu_x']"),
         ],
         ids=[
             "negative-train", "one-frame-train", "zero-test", "negative-test",
             "negative-min-tests", "negative-pre", "negative-post", "unknown-sc",
+            "unknown-kind",
         ],
     )
     def test_bad_lengths_and_conventions_rejected(self, kwargs, named):

@@ -46,8 +46,7 @@ class TestFromFrames:
             model = GaussianModel.from_frames(data)  # loading rescues the rank-6 cov
         assert model.count == 6
         with pytest.warns(RuntimeWarning):
-            with pytest.raises(DegenerateModelError):
-                GaussianModel.from_frames(data, allow_loading=False)
+            assert stack_blocks([data[None]]).loadings[0] > 0.0
 
     def test_dimension_mismatch(self):
         for frames in ([1.0, 2.0], np.zeros((4, 2, 3)), np.zeros((4, 0))):
@@ -158,11 +157,6 @@ class TestFactorize:
         loaded = cov + fact.loading * np.eye(3)
         np.testing.assert_allclose(fact.factor @ fact.factor.T, loaded, rtol=1e-9)
 
-    def test_loading_disabled_raises(self):
-        v = np.array([1.0, 2.0, 3.0])
-        with pytest.raises(NotPositiveDefiniteError):
-            factorize(np.outer(v, v), allow_loading=False)
-
     def test_zero_matrix_rejected_even_with_loading(self):
         with pytest.raises(NotPositiveDefiniteError):
             factorize(np.zeros((3, 3)))
@@ -190,9 +184,8 @@ class TestStackBlocks:
         block_len=st.integers(1, 30),
         set_sizes=st.lists(st.integers(0, 4), min_size=1, max_size=4),
         offset=st.sampled_from([0.0, 20.0]),
-        allow_loading=st.booleans(),
     )
-    def test_matches_scalar_path(self, seed, dim, block_len, set_sizes, offset, allow_loading):
+    def test_matches_scalar_path(self, seed, dim, block_len, set_sizes, offset):
         rng = np.random.default_rng(seed)
         sets = [
             _blocks_of(rng.standard_normal((n * block_len, dim)) + offset, n, block_len)
@@ -201,15 +194,15 @@ class TestStackBlocks:
         blocks = [block for blocks in sets for block in blocks]
         models = [_one_pass_model(b) for b in blocks]
         try:  # a 1-frame block's covariance is exactly 0, which loading cannot rescue
-            facts = [factorize(model, allow_loading) for model in models]
-        except NotPositiveDefiniteError:  # 1 frame, or rank deficient without loading
+            facts = [factorize(model) for model in models]
+        except NotPositiveDefiniteError:
             with pytest.raises(DegenerateModelError), warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)  # block_len <= dim
-                stack_blocks(sets, allow_loading=allow_loading)
+                stack_blocks(sets)
             return
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # block_len <= dim
-            stack = stack_blocks(sets, allow_loading=allow_loading)
+            stack = stack_blocks(sets)
         assert len(stack) == len(blocks) == sum(set_sizes)
         assert stack.means.shape == (len(blocks), dim)
         for i, (model, fact) in enumerate(zip(models, facts)):
@@ -235,12 +228,6 @@ class TestStackBlocks:
         for i, block in enumerate(good):
             fact = factorize(_one_pass_model(block))
             np.testing.assert_array_equal(stack.inverses[i], fact.inverse)
-
-    def test_rank_deficient_without_loading_is_degenerate(self):
-        short = np.random.default_rng(14).standard_normal((1, 4, 6))
-        with pytest.warns(RuntimeWarning):
-            with pytest.raises(DegenerateModelError):
-                stack_blocks([short], allow_loading=False)
 
     def test_one_frame_blocks_are_degenerate(self):
         with pytest.raises(DegenerateModelError, match="at least 2"):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sosid.errors import AlignmentError, TaxonomyError
-from sosid.frontend import SpectralFrames
 from sosid.phonetic import (
     CLASS_ORDER,
     AlignmentTrack,
@@ -177,7 +176,7 @@ class TestTaxonomy:
 
 def _features(n, p=4):
     # frame i holds the value i in every component, so selections are legible
-    return SpectralFrames(np.tile(np.arange(float(n))[:, None], (1, p)))
+    return np.tile(np.arange(float(n))[:, None], (1, p))
 
 
 class TestSelectFrames:
@@ -186,8 +185,8 @@ class TestSelectFrames:
         segments = [("m", 0, 9), ("a", 10, 19), ("n", 20, 29), ("sil", 30, 39)]
         picked = select_frames(feats, segments, "NasalConsonants")
         assert len(picked) == 20
-        assert picked.vectors[0, 0] == 0.0
-        assert picked.vectors[10, 0] == 20.0
+        assert picked[0, 0] == 0.0
+        assert picked[10, 0] == 20.0
 
     def test_all_excludes_non_linguistic_labels(self):
         feats = _features(40)
@@ -200,20 +199,20 @@ class TestSelectFrames:
         segments = [("m", 0, 4), ("n", 5, 9), ("m", 10, 14)]
         picked = select_frames(feats, segments, "m")
         assert len(picked) == 10
-        assert list(picked.vectors[:, 0]) == [0, 1, 2, 3, 4, 10, 11, 12, 13, 14]
+        assert list(picked[:, 0]) == [0, 1, 2, 3, 4, 10, 11, 12, 13, 14]
 
     def test_nothing_matches_gives_empty_sequence(self):
         feats = _features(30)
         picked = select_frames(feats, [("a", 0, 9)], "Fricatives")
         assert len(picked) == 0
-        assert picked.vectors.shape == (0, 4)
+        assert picked.shape == (0, 4)
 
     def test_overlapping_segments_emit_duplicates(self):
         feats = _features(30)
         segments = [("a", 0, 9), ("a", 5, 14)]
         picked = select_frames(feats, segments, "a")
         assert len(picked) == 20  # sum of segment lengths, overlap kept
-        assert list(picked.vectors[8:12, 0]) == [8, 9, 5, 6]
+        assert list(picked[8:12, 0]) == [8, 9, 5, 6]
 
     def test_output_length_is_sum_of_matching_segments(self):
         rng = np.random.default_rng(0)
@@ -241,23 +240,22 @@ class TestSelectFrames:
 
 class TestAssembleTests:
     def test_250_frames_two_tests(self):
-        assembly = assemble_tests(_features(250), 100, "spk", "All")
-        assert len(assembly) == 2
-        assert all(block.shape == (100, 4) for block in assembly.tests)
-        assert assembly.speaker_id == "spk"
+        tests = assemble_tests(_features(250), 100)
+        assert len(tests) == 2
+        assert all(block.shape == (100, 4) for block in tests)
 
     def test_99_frames_zero_tests(self):
         assert len(assemble_tests(_features(99), 100)) == 0
 
     def test_100_frames_one_test(self):
-        assembly = assemble_tests(_features(100), 100)
-        assert len(assembly) == 1
-        np.testing.assert_array_equal(assembly.tests[0], _features(100).vectors)
+        tests = assemble_tests(_features(100), 100)
+        assert len(tests) == 1
+        np.testing.assert_array_equal(tests[0], _features(100))
 
     def test_blocks_are_consecutive(self):
-        assembly = assemble_tests(_features(250), 100)
-        assert assembly.tests[0][0, 0] == 0.0
-        assert assembly.tests[1][0, 0] == 100.0
+        tests = assemble_tests(_features(250), 100)
+        assert tests[0][0, 0] == 0.0
+        assert tests[1][0, 0] == 100.0
 
     def test_invalid_test_len_rejected(self):
         with pytest.raises(ValueError):
@@ -265,6 +263,6 @@ class TestAssembleTests:
 
     @given(n=st.integers(0, 1000), test_len=st.integers(1, 200))
     def test_count_formula(self, n, test_len):
-        assembly = assemble_tests(np.zeros((n, 3)), test_len)
-        assert len(assembly) == n // test_len
-        assert all(len(block) == test_len for block in assembly.tests)
+        tests = assemble_tests(np.zeros((n, 3)), test_len)
+        assert len(tests) == n // test_len
+        assert all(len(block) == test_len for block in tests)

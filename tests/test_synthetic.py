@@ -39,7 +39,7 @@ class TestSampleSpeakers:
     def test_full_scale_covariances_all_factorize(self):
         cfg = SynthCorpusConfig(n_speakers=67, dim=24, seed=3)
         for speaker in sample_speakers(cfg):
-            fact = factorize(speaker.base_cov, allow_loading=False)
+            fact = factorize(speaker.base_cov)
             assert fact.loading == 0.0
 
     def test_unit_average_variance(self):
