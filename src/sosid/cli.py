@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ConfigurationError, InsufficientDataError, SosidError
 from .experiment import (
-    FRAMES_PER_SECOND,
     DurationProtocolConfig,
     _seconds_to_frames,
     emit_report,
@@ -79,7 +78,7 @@ def _cmd_train(args) -> int:
     corpus = load_corpus(args.manifest, frontend_config=cfg)
     limit = None
     if args.train_seconds is not None:
-        limit = _seconds_to_frames(args.train_seconds, FRAMES_PER_SECOND)
+        limit = _seconds_to_frames(args.train_seconds)
     models = {}
     for speaker_id, sentences in corpus.speakers:
         frames = [sentence.frames for sentence in sentences]
@@ -110,20 +109,23 @@ def _cmd_identify(args) -> int:
                 f"{features_path}: feature dimension {vectors.shape[1]} "
                 f"differs from the store's {registry.dim}"
             )
-        values = score_matrix(registry, stack_blocks([vectors[None]]), kind, args.sc_convention)
+        tests = stack_blocks([vectors[None]])
+        values = score_matrix(registry, tests, kind, args.sc_convention or SC_DECOMPOSITION)
         sheets.append(ScoreSheet.from_row(Path(features_path).stem, registry.ids, values[0]))
     _write_or_print(score_sheets_csv(sheets), args.out)
     return 0
 
 
 def _duration_config(args) -> DurationProtocolConfig:
+    """The --config file's protocol, with the flags given on the command line over it."""
     if args.config is None:
         overrides = {}
     else:
         overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
     if args.measure:
         overrides["measures"] = tuple(args.measure)
-    overrides.setdefault("sc_convention", args.sc_convention)
+    if args.sc_convention is not None:
+        overrides["sc_convention"] = args.sc_convention
     for key in ("train_durations", "test_durations", "measures"):
         if key in overrides:
             overrides[key] = tuple(overrides[key])
@@ -160,7 +162,7 @@ def _cmd_eval_phonetic(args) -> int:
         train_seconds=args.train_seconds,
         test_len=args.test_frames,
         min_tests=args.min_tests,
-        sc_convention=args.sc_convention,
+        sc_convention=args.sc_convention or SC_DECOMPOSITION,
     )
     _write_or_print(emit_report(report, args.format), args.out)
     return 0
@@ -182,7 +184,9 @@ def _cmd_synth_corpus(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process; parsing does not change it."""
     parser = _Parser(prog="sosid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -208,8 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     measure.add_argument(
         "--sc-convention",
         choices=SC_CONVENTIONS,
-        default=SC_DECOMPOSITION,
-        help="mu_sc symmetrization convention",
+        default=None,
+        help="mu_sc symmetrization convention (default: decomposition, or an eval-duration "
+        "--config file's)",
     )
 
     p = sub.add_parser("extract", parents=[common], help="WAV file to feature CSV")
@@ -269,15 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built once per process; parsing does not change it."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         if getattr(args, "out_required", False) and args.out is None:
             raise _UsageError(f"{args.command}: --out is required")
         return args.func(args)

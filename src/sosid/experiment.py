@@ -1,19 +1,20 @@
 """Utterance-duration and phonetic-content identification protocols.
 
-Both protocols start from the same per-speaker preparation: all of a
-speaker's sentences are concatenated in a seeded random order (silence
-handling, if any, happened upstream; nothing is stripped here).
+Both protocols run on one skeleton and differ only in their tests. Each
+takes a :class:`LoadedCorpus` of at least 2 speakers, concatenates every
+speaker's sentences in a seeded random order (silence handling, if any,
+happened upstream; nothing is stripped here), builds the reference models
+from the leading training seconds of that concatenation, and scores every
+test of a cell against every speaker for every requested measure, at
+``FRAMES_PER_SECOND``.
 
-Duration protocol: for each training duration, the first ``train`` seconds
-of the concatenation build the reference model; the remainder is cut into
-consecutive test blocks of each test duration, capped per speaker. Every
-block is scored against every speaker for every requested measure.
+Duration protocol: for each training duration, the remainder is cut into
+consecutive test blocks of each test duration, capped per speaker.
 
-Phonetic protocol: training reuses the duration protocol's material
-verbatim (same shuffle, same leading seconds). Tests come from the
-remaining material only: phone kernels are widened, frames matching a
-phoneme or class selector are pooled per speaker, and the pool is cut into
-fixed one-second tests.
+Phonetic protocol: tests come from the material after the training
+seconds only: phone kernels are widened, frames matching a phoneme or
+class selector are pooled per speaker, and the pool is cut into fixed
+one-second tests.
 
 Reported metrics per cell: the global percentage of correct decisions over
 all tests, and the unweighted mean over speakers of each speaker's own
@@ -75,17 +76,23 @@ def _check_measures(kinds, sc_convention: str) -> None:
         raise ConfigurationError(f"unknown mu_sc convention {sc_convention!r}")
 
 
-def _seconds_to_frames(seconds: float, frames_per_second: int) -> int:
+def _seconds_to_frames(seconds: float) -> int:
     """Frames in ``seconds`` of material; a ConfigurationError naming it below 2."""
     if not math.isfinite(seconds):
         raise ConfigurationError(f"duration {seconds:g} s is not a finite number")
-    frames = round(seconds * frames_per_second)
+    frames = round(seconds * FRAMES_PER_SECOND)
     if frames < 2:
         raise ConfigurationError(
             f"duration {seconds:g} s is {frames} frame(s) at "
-            f"{frames_per_second} frames per second; a model needs at least 2"
+            f"{FRAMES_PER_SECOND} frames per second; a model needs at least 2"
         )
     return frames
+
+
+def _digest(payload: dict) -> str:
+    """Short SHA-256 of a protocol config's canonical JSON; written into every report."""
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -220,7 +227,6 @@ class DurationProtocolConfig:
     max_tests_per_speaker: int = 20
     measures: tuple = MEASURE_KINDS
     sc_convention: str = SC_DECOMPOSITION
-    frames_per_second: int = FRAMES_PER_SECOND
 
     def __post_init__(self):
         if not self.train_durations or not self.test_durations:
@@ -228,24 +234,20 @@ class DurationProtocolConfig:
         if self.max_tests_per_speaker < 1:
             raise ConfigurationError("max_tests_per_speaker must be >= 1")
         _check_measures(self.measures, self.sc_convention)
-        if self.frames_per_second < 1:
-            raise ConfigurationError("frames_per_second must be >= 1")
         for duration in self.train_durations + self.test_durations:
-            _seconds_to_frames(duration, self.frames_per_second)
+            _seconds_to_frames(duration)
 
     def digest(self) -> str:
-        payload = json.dumps(
+        return _digest(
             {
                 "train": list(self.train_durations),
                 "test": list(self.test_durations),
                 "cap": self.max_tests_per_speaker,
                 "measures": list(self.measures),
                 "sc": self.sc_convention,
-                "fps": self.frames_per_second,
-            },
-            sort_keys=True,
+                "fps": FRAMES_PER_SECOND,
+            }
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -319,16 +321,26 @@ def _speaker_streams(corpus: LoadedCorpus):
     ]
 
 
-def _cell_from_results(
-    results, min_tests: int | None = None, n_loaded: int = 0
-) -> ReportCell:
-    if not results:
-        return ReportCell(0.0, 0.0, 0, low_count=min_tests is not None)
-    global_acc, speaker_mean = compute_metrics(results)
-    low = min_tests is not None and len(results) < min_tests
-    return ReportCell(
-        global_acc, speaker_mean, len(results), low_count=low, n_loaded=n_loaded
-    )
+def _checked_speakers(corpus: LoadedCorpus, needed: int, material: str) -> tuple:
+    """Speaker ids and frame counts; an InsufficientDataError below 2 speakers or ``needed``."""
+    if len(corpus.speakers) < 2:
+        raise InsufficientDataError("identification needs at least 2 speakers")
+    ids = [speaker_id for speaker_id, _ in corpus.speakers]
+    n_frames = [sum(len(s.frames) for s in sentences) for _, sentences in corpus.speakers]
+    for speaker_id, n in zip(ids, n_frames):
+        if n < needed:
+            raise InsufficientDataError(
+                f"speaker {speaker_id}: {n} frames < {needed} needed for {material}"
+            )
+    return ids, n_frames
+
+
+def _reference_registry(ids, moments: SegmentMoments, train_f: int) -> SpeakerRegistry:
+    """Registry of one model per speaker from the raw moments of its first ``train_f`` frames."""
+    try:
+        return SpeakerRegistry(ids, stack_moments(moments.spans([[0, train_f]] * len(ids))))
+    except DegenerateModelError as exc:
+        raise DegenerateModelError(f"reference from {train_f} training vectors: {exc}") from exc
 
 
 def _score_cells(registry, tests, owners, kinds, sc_convention, min_tests=None) -> dict:
@@ -338,14 +350,30 @@ def _score_cells(registry, tests, owners, kinds, sc_convention, min_tests=None) 
     share are computed once per cell.
     """
     n_loaded = int(np.count_nonzero(tests.loadings))
+    # with a minimum set, a cell without tests is low-count even at min_tests 0
+    low = min_tests is not None and len(owners) < max(min_tests, 1)
     cells = {}
     for kind, values in measure_matrices(kinds, registry.stack, tests, sc_convention).items():
         decisions = decisions_from_scores(registry, values)
         results = [
             (owner, decision == owner) for owner, decision in zip(owners, decisions)
         ]
-        cells[kind] = _cell_from_results(results, min_tests, n_loaded)
+        accuracies = compute_metrics(results) if results else (0.0, 0.0)
+        cells[kind] = ReportCell(*accuracies, len(results), low_count=low, n_loaded=n_loaded)
     return cells
+
+
+def _report(protocol, axes, seed, digest, cells, kinds, sc_convention, min_tests=None):
+    """The report of every (coords, registry, tests, owners) cell, for each measure kind."""
+    report = ExperimentReport(
+        axes=(*axes, "measure"),
+        metadata={"protocol": protocol, "seed": seed, "config": digest},
+    )
+    for coords, registry, tests, owners in cells:
+        scored = _score_cells(registry, tests, owners, kinds, sc_convention, min_tests)
+        for kind, cell in scored.items():
+            report.cells[(*coords, kind)] = cell
+    return report
 
 
 def _ordered_measures(requested) -> tuple:
@@ -353,33 +381,21 @@ def _ordered_measures(requested) -> tuple:
 
 
 def run_duration_experiment(
-    corpus, cfg: DurationProtocolConfig | None = None
+    corpus: LoadedCorpus, cfg: DurationProtocolConfig | None = None
 ) -> ExperimentReport:
     """Run the training-duration x test-duration grid over a corpus."""
-    if not isinstance(corpus, LoadedCorpus):
-        corpus = load_corpus(corpus)
     if cfg is None:
         cfg = DurationProtocolConfig()
-    if len(corpus.speakers) < 2:
-        raise InsufficientDataError("identification needs at least 2 speakers")
-
-    fps = cfg.frames_per_second
     train_grid = sorted(set(cfg.train_durations), reverse=True)
     test_grid = sorted(set(cfg.test_durations), reverse=True)
-    kinds = _ordered_measures(cfg.measures)
     cap = cfg.max_tests_per_speaker
-    train_frames = [round(train_s * fps) for train_s in train_grid]
-    test_frames = [round(test_s * fps) for test_s in test_grid]
-
-    ids = [speaker_id for speaker_id, _ in corpus.speakers]
-    n_frames = [sum(len(s.frames) for s in sentences) for _, sentences in corpus.speakers]
-    needed = max(train_frames) + min(test_frames)
-    for speaker_id, n in zip(ids, n_frames):
-        if n < needed:
-            raise InsufficientDataError(
-                f"speaker {speaker_id}: {n} frames < {needed} needed "
-                f"for {max(train_grid):g} s training plus one {min(test_grid):g} s test"
-            )
+    train_frames = [_seconds_to_frames(train_s) for train_s in train_grid]
+    test_frames = [_seconds_to_frames(test_s) for test_s in test_grid]
+    ids, n_frames = _checked_speakers(
+        corpus,
+        max(train_frames) + min(test_frames),
+        f"{max(train_grid):g} s training plus one {min(test_grid):g} s test",
+    )
 
     def cut_streams():
         # every edge of every cell; only the segment moments outlive the stream
@@ -393,25 +409,18 @@ def run_duration_experiment(
             yield concat, np.concatenate(edges)
 
     moments = SegmentMoments(cut_streams())
-    report = ExperimentReport(
-        axes=("train_s", "test_s", "measure"),
-        metadata={
-            "protocol": "duration",
-            "seed": corpus.seed,
-            "config": cfg.digest(),
-        },
-    )
-    for train_s, train_f in zip(train_grid, train_frames):
-        training = moments.spans([[0, train_f]] * len(ids))
-        registry = _reference_registry(ids, training, train_f)
-        for test_s, test_f in zip(test_grid, test_frames):
-            bounds = [_test_bounds(n, train_f, test_f, cap) for n in n_frames]
-            owners = [sid for sid, b in zip(ids, bounds) for _ in range(len(b) - 1)]
-            tests = stack_moments(moments.spans(bounds))
-            cells = _score_cells(registry, tests, owners, kinds, cfg.sc_convention)
-            for kind, cell in cells.items():
-                report.cells[(train_s, test_s, kind)] = cell
-    return report
+
+    def cells():
+        for train_s, train_f in zip(train_grid, train_frames):
+            registry = _reference_registry(ids, moments, train_f)
+            for test_s, test_f in zip(test_grid, test_frames):
+                bounds = [_test_bounds(n, train_f, test_f, cap) for n in n_frames]
+                owners = [sid for sid, b in zip(ids, bounds) for _ in range(len(b) - 1)]
+                yield (train_s, test_s), registry, stack_moments(moments.spans(bounds)), owners
+
+    kinds = _ordered_measures(cfg.measures)
+    axes = ("train_s", "test_s")
+    return _report("duration", axes, corpus.seed, cfg.digest(), cells(), kinds, cfg.sc_convention)
 
 
 def _test_bounds(n_frames: int, train_f: int, test_f: int, cap: int) -> np.ndarray:
@@ -421,16 +430,30 @@ def _test_bounds(n_frames: int, train_f: int, test_f: int, cap: int) -> np.ndarr
     return train_f + test_f * np.arange(n_blocks + 1)
 
 
-def _reference_registry(ids, moments, train_f: int) -> SpeakerRegistry:
-    """Registry of one model per speaker from the raw moments of its training frames."""
-    try:
-        return SpeakerRegistry(ids, stack_moments(moments))
-    except DegenerateModelError as exc:
-        raise DegenerateModelError(f"reference from {train_f} training vectors: {exc}") from exc
+def _test_segments(speaker_id, placed, train_f: int, pre_frames: int, post_frames: int) -> list:
+    """(label, start, end) of a stream's widened kernels after its ``train_f`` training frames."""
+    segments = []
+    for offset, sentence in placed:
+        length = len(sentence.frames)
+        if offset + length <= train_f:
+            continue  # training-only material
+        if sentence.alignment is None:
+            raise AlignmentError(
+                f"speaker {speaker_id}: a sentence in the test region has no alignment"
+            )
+        for label, start, end in expand_kernels(
+            sentence.alignment, pre_frames, post_frames, track_len=length
+        ):
+            # segments straddling the training boundary are clipped so no
+            # training frame can reach a test
+            start = max(start + offset, train_f)
+            if start <= end + offset:
+                segments.append((label, start, end + offset))
+    return segments
 
 
 def run_phonetic_experiment(
-    corpus,
+    corpus: LoadedCorpus,
     taxonomy: PhonemeClassTaxonomy | None = None,
     selectors=None,
     kinds=MEASURE_KINDS,
@@ -442,7 +465,7 @@ def run_phonetic_experiment(
     post_frames: int = DEFAULT_POST_FRAMES,
 ) -> ExperimentReport:
     """Score phonetically biased one-second tests against unbiased training."""
-    train_f = _seconds_to_frames(train_seconds, FRAMES_PER_SECOND)
+    train_f = _seconds_to_frames(train_seconds)
     if test_len < 2:
         raise ConfigurationError(f"test length must be at least 2 frames, got {test_len}")
     if min_tests < 0:
@@ -452,93 +475,55 @@ def run_phonetic_experiment(
             f"kernel widening must be >= 0 frames, got pre {pre_frames}, post {post_frames}"
         )
     _check_measures(kinds, sc_convention)
-    if not isinstance(corpus, LoadedCorpus):
-        corpus = load_corpus(corpus)
     if taxonomy is None:
         taxonomy = default_taxonomy()
     if selectors is None:
         selectors = CLASS_ORDER
-    if len(corpus.speakers) < 2:
-        raise InsufficientDataError("identification needs at least 2 speakers")
     for selector in selectors:
         taxonomy.members(selector)  # fail fast on unknown selectors
     kinds = _ordered_measures(kinds)
-
-    streams = _speaker_streams(corpus)
-    segments_by_speaker = {}
-    concat_by_speaker = {}
-    for speaker_id, concat, placed in streams:
-        if len(concat) < train_f + test_len:
-            raise InsufficientDataError(
-                f"speaker {speaker_id}: {len(concat)} frames < {train_f + test_len} "
-                f"needed for {train_seconds:g} s training plus one test"
-            )
-        concat_by_speaker[speaker_id] = concat
-        segments = []
-        for offset, sentence in placed:
-            length = len(sentence.frames)
-            if offset + length <= train_f:
-                continue  # training-only material
-            if sentence.alignment is None:
-                raise AlignmentError(
-                    f"speaker {speaker_id}: a sentence in the test region has no alignment"
-                )
-            for label, start, end in expand_kernels(
-                sentence.alignment, pre_frames, post_frames, track_len=length
-            ):
-                # segments straddling the training boundary are clipped so no
-                # training frame can reach a test
-                abs_start = max(start + offset, train_f)
-                abs_end = end + offset
-                if abs_start <= abs_end:
-                    assert abs_start >= train_f
-                    segments.append((label, abs_start, abs_end))
-        segments_by_speaker[speaker_id] = segments
-    # references as in the duration protocol, from their frames' raw moments
-    training = SegmentMoments((concat, [train_f]) for _, concat, _ in streams)
-    ids = [speaker_id for speaker_id, _, _ in streams]
-    registry = _reference_registry(ids, training.spans([[0, train_f]] * len(ids)), train_f)
-
-    config_payload = {
-        "train_seconds": train_seconds,
-        "test_len": test_len,
-        "selectors": list(selectors),
-        "kinds": list(kinds),
-        "min_tests": min_tests,
-        "sc": sc_convention,
-        "pre": pre_frames,
-        "post": post_frames,
-        "fps": FRAMES_PER_SECOND,
-        "taxonomy": {k: sorted(v) for k, v in taxonomy.classes.items()},
-    }
-    digest = hashlib.sha256(
-        json.dumps(config_payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    ).hexdigest()[:12]
-    report = ExperimentReport(
-        axes=("selector", "measure"),
-        metadata={"protocol": "phonetic", "seed": corpus.seed, "config": digest},
+    ids, _ = _checked_speakers(
+        corpus, train_f + test_len, f"{train_seconds:g} s training plus one test"
     )
-    for selector in selectors:
-        owners = []
 
-        def speaker_tests():
-            # one speaker's pooled frames alive at a time
-            for speaker_id, _, _ in streams:
-                pooled = select_frames(
-                    concat_by_speaker[speaker_id],
-                    segments_by_speaker[speaker_id],
-                    selector,
-                    taxonomy,
-                )
-                blocks = assemble_tests(pooled, test_len)
-                owners.extend([speaker_id] * len(blocks))
-                yield blocks
+    streams = [
+        (speaker_id, concat, _test_segments(speaker_id, placed, train_f, pre_frames, post_frames))
+        for speaker_id, concat, placed in _speaker_streams(corpus)
+    ]
+    training = SegmentMoments((concat, [train_f]) for _, concat, _ in streams)
+    registry = _reference_registry(ids, training, train_f)
 
-        tests = stack_blocks(speaker_tests())
-        cells = _score_cells(registry, tests, owners, kinds, sc_convention, min_tests)
-        for kind, cell in cells.items():
-            report.cells[(selector, kind)] = cell
-    return report
+    def cells():
+        for selector in selectors:
+            owners = []
+
+            def speaker_tests():
+                # one speaker's pooled frames alive at a time
+                for speaker_id, concat, segments in streams:
+                    pooled = select_frames(concat, segments, selector, taxonomy)
+                    blocks = assemble_tests(pooled, test_len)
+                    owners.extend([speaker_id] * len(blocks))
+                    yield blocks
+
+            yield (selector,), registry, stack_blocks(speaker_tests()), owners
+
+    digest = _digest(
+        {
+            "train_seconds": train_seconds,
+            "test_len": test_len,
+            "selectors": list(selectors),
+            "kinds": list(kinds),
+            "min_tests": min_tests,
+            "sc": sc_convention,
+            "pre": pre_frames,
+            "post": post_frames,
+            "fps": FRAMES_PER_SECOND,
+            "taxonomy": {k: sorted(v) for k, v in taxonomy.classes.items()},
+        }
+    )
+    return _report(
+        "phonetic", ("selector",), corpus.seed, digest, cells(), kinds, sc_convention, min_tests
+    )
 
 
 def _format_axis_value(value) -> str:

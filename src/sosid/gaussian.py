@@ -356,12 +356,17 @@ def model_from_dict(doc: dict):
 
 
 def save_model_store(store_dir, models, config_hash: str = "") -> None:
-    """Write one ``<speaker_id>.json`` per model into a store directory."""
+    """Write one ``<speaker_id>.json`` per model into a store directory.
+
+    A speaker id with ``/`` or ``\\``, or a leading ``.``, is not a safe file
+    name: a SosidError naming it, raised before the directory is made.
+    """
+    for speaker_id in models:
+        if "/" in speaker_id or "\\" in speaker_id or speaker_id.startswith("."):
+            raise SosidError(f"speaker id {speaker_id!r} is not a safe file name")
     store = Path(store_dir)
     store.mkdir(parents=True, exist_ok=True)
     for speaker_id, model in models.items():
-        if "/" in speaker_id or "\\" in speaker_id or speaker_id.startswith("."):
-            raise ValueError(f"speaker id {speaker_id!r} is not a safe file name")
         doc = model_to_dict(speaker_id, model, config_hash)
         path = store / f"{speaker_id}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")

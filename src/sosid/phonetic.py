@@ -124,15 +124,14 @@ def expand_kernels(
     track: AlignmentTrack,
     pre_frames: int = DEFAULT_PRE_FRAMES,
     post_frames: int = DEFAULT_POST_FRAMES,
-    track_len: int | None = None,
+    *,
+    track_len: int,
 ) -> list:
     """Widen each kernel by pre/post frames, clipped to [0, track_len).
 
     Returns (label, segment_start, segment_end) triples; expanded segments
     may overlap each other even though kernels never do.
     """
-    if track_len is None:
-        raise ValueError("track_len is required to clip expanded segments")
     segments = []
     for label, start, end in track.entries:
         if end >= track_len:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sosid.cli import main
+from sosid.experiment import DurationProtocolConfig
 from sosid.frontend import load_features_csv, save_wav
 from sosid.synthetic import SynthCorpusConfig, write_corpus
 
@@ -281,6 +282,35 @@ class TestEvalCommands:
         text = out.read_text()
         assert "mu_sc" in text and "mu_gc" not in text
 
+    @pytest.mark.parametrize(
+        "in_file, flags, want",
+        [
+            ("decomposition", ["--sc-convention", "as-printed"], "as-printed"),
+            ("as-printed", [], "as-printed"),
+        ],
+        ids=["flag-over-file", "file-without-flag"],
+    )
+    def test_flags_override_config_file(self, corpus_dir, tmp_path, in_file, flags, want):
+        grid = {"train_durations": [6], "test_durations": [1]}
+        config = tmp_path / "proto.json"
+        config.write_text(json.dumps({**grid, "measures": ["mu_g"], "sc_convention": in_file}))
+        out = tmp_path / "report.csv"
+        code = main(
+            [
+                "eval-duration",
+                "--manifest", str(corpus_dir / "manifest.json"),
+                "--config", str(config),
+                "--measure", "mu_sc",
+                *flags,
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        expected = DurationProtocolConfig(
+            train_durations=(6,), test_durations=(1,), measures=("mu_sc",), sc_convention=want
+        )
+        assert f"# config: {expected.digest()}\n" in out.read_text()
+
 
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self):
@@ -310,9 +340,12 @@ class TestExitCodes:
         manifest = write_corpus(cfg, tmp_path / "tiny")
         assert main(["eval-duration", "--manifest", str(manifest)]) == 2
 
-    def test_unknown_protocol_config_key_is_data_error(self, corpus_dir, tmp_path):
+    @pytest.mark.parametrize(
+        "doc", [{"trains": [5]}, {"frames_per_second": 50}], ids=["trains", "frames_per_second"]
+    )
+    def test_unknown_protocol_config_key_is_data_error(self, corpus_dir, tmp_path, doc):
         config = tmp_path / "bad.json"
-        config.write_text(json.dumps({"trains": [5]}))
+        config.write_text(json.dumps(doc))
         code = main(
             [
                 "eval-duration",
@@ -366,6 +399,19 @@ class TestExitCodes:
         )
         assert code == 2
         assert f"duration {float(seconds):g} s" in capsys.readouterr().err
+        assert not store.exists()
+
+    @pytest.mark.parametrize(
+        "speaker_id", ["x/a", "a\\b", ".hidden"], ids=["slash", "backslash", "hidden"]
+    )
+    def test_unsafe_speaker_id_is_data_error(self, corpus_dir, tmp_path, capsys, speaker_id):
+        manifest = corpus_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["speakers"][0]["id"] = speaker_id
+        manifest.write_text(json.dumps(doc))
+        store = tmp_path / "store"
+        assert main(["train", "--manifest", str(manifest), "--out", str(store)]) == 2
+        assert repr(speaker_id) in capsys.readouterr().err
         assert not store.exists()
 
     def test_train_seconds_beyond_material_is_data_error(self, corpus_dir, tmp_path, capsys):

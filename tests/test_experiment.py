@@ -235,15 +235,22 @@ class TestDurationExperiment:
         # the digest is written into every duration report
         assert DurationProtocolConfig().digest() == "22436463faca"
 
-    def test_insufficient_material_names_speaker(self):
+    @pytest.mark.parametrize(
+        "run", [run_duration_experiment, run_phonetic_experiment], ids=["duration", "phonetic"]
+    )
+    def test_insufficient_material_names_speaker(self, run):
         corpus = _easy_corpus(frames=900)
-        with pytest.raises(InsufficientDataError, match="spk00"):
-            run_duration_experiment(corpus)
+        named = "spk000: 900 frames .* for 15 s training plus one"
+        with pytest.raises(InsufficientDataError, match=named):
+            run(corpus)
 
-    def test_single_speaker_rejected(self):
+    @pytest.mark.parametrize(
+        "run", [run_duration_experiment, run_phonetic_experiment], ids=["duration", "phonetic"]
+    )
+    def test_single_speaker_rejected(self, run):
         cfg = SynthCorpusConfig(n_speakers=1, dim=4, frames_per_speaker=2600, seed=0)
-        with pytest.raises(InsufficientDataError):
-            run_duration_experiment(make_corpus(cfg))
+        with pytest.raises(InsufficientDataError, match="at least 2 speakers"):
+            run(make_corpus(cfg))
 
     def test_seed_changes_report(self):
         cfg = DurationProtocolConfig(train_durations=(6.0,), test_durations=(1.0,))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sosid.errors import DegenerateModelError, NotPositiveDefiniteError
+from sosid.errors import DegenerateModelError, NotPositiveDefiniteError, SosidError
 from sosid.gaussian import (
     GaussianModel,
     factorize,
@@ -268,5 +268,6 @@ class TestModelStore:
     def test_unsafe_speaker_id_rejected(self, tmp_path):
         rng = np.random.default_rng(12)
         model = GaussianModel.from_frames(rng.standard_normal((40, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(SosidError, match="evil"):
             save_model_store(tmp_path / "store", {"../evil": model})
+        assert not (tmp_path / "store").exists()

@@ -104,7 +104,7 @@ class TestExpandKernels:
         end = start + length
         track = AlignmentTrack("s", (("a", start, end),))
         track_len = end + 1 + margin
-        [(_, lo, hi)] = expand_kernels(track, pre, post, track_len)
+        [(_, lo, hi)] = expand_kernels(track, pre, post, track_len=track_len)
         assert 0 <= lo <= hi < track_len
         assert lo <= start and hi >= end
 
