@@ -129,12 +129,17 @@ def factorize(model) -> SpdFactorization:
     )
 
 
-def _cholesky_with_loading(cov):
-    """(lower factor, loading) of one covariance under the loading policy."""
-    try:
-        return np.linalg.cholesky(cov), 0.0
-    except np.linalg.LinAlgError:
-        pass
+def _cholesky_with_loading(cov, singular=False):
+    """(lower factor, loading) of one covariance under the loading policy.
+
+    A covariance known to be singular skips the unloaded attempt, which
+    rounding alone can let through with a near-zero pivot.
+    """
+    if not singular:
+        try:
+            return np.linalg.cholesky(cov), 0.0
+        except np.linalg.LinAlgError:
+            pass
     loading = DEFAULT_LOADING_SCALE * max(np.trace(cov), 0.0) / cov.shape[0]
     if loading <= 0.0:
         raise NotPositiveDefiniteError(
@@ -149,20 +154,27 @@ def _cholesky_with_loading(cov):
         ) from None
 
 
-def _factorize_stack(covs):
+def _factorize_stack(covs, singular=None):
     """Factors, loadings, log-dets and inverses of a (n, p, p) covariance stack.
 
-    One batched Cholesky serves the common case; only when it fails is each
-    covariance factorized on its own, so loading reaches only the ones that
-    need it.
+    One batched Cholesky serves the common case; only when it fails, or the
+    boolean mask ``singular`` marks a covariance known to be singular, is
+    each covariance factorized on its own, so loading reaches only the ones
+    that need it.
     """
+    if singular is None:
+        singular = np.zeros(len(covs), dtype=bool)
     loadings = np.zeros(len(covs))
-    try:
-        factors = np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError:
+    factors = None
+    if not singular.any():
+        try:
+            factors = np.linalg.cholesky(covs)
+        except np.linalg.LinAlgError:
+            pass
+    if factors is None:
         factors = np.empty_like(covs)
         for i, cov in enumerate(covs):
-            factors[i], loadings[i] = _cholesky_with_loading(cov)
+            factors[i], loadings[i] = _cholesky_with_loading(cov, singular[i])
     log_dets = 2.0 * np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1)
     # inverse = L^-T L^-1; a positive Cholesky diagonal makes trtri succeed
     inv_factors = np.empty_like(factors)
@@ -198,9 +210,9 @@ class ModelStack:
         )
 
 
-def _factorized(means, covs, counts) -> ModelStack:
+def _factorized(means, covs, counts, singular=None) -> ModelStack:
     """Stack of estimated models, their covariances factorized as one batch."""
-    _, loadings, log_dets, inverses = _factorize_stack(covs)
+    _, loadings, log_dets, inverses = _factorize_stack(covs, singular)
     return ModelStack(means, covs, counts, inverses, log_dets, loadings)
 
 
@@ -304,14 +316,16 @@ def stack_moments(moments) -> ModelStack:
 
     Raw sums are finalized with the one-pass ML formula and factorized as
     one batch under the loading policy of :func:`factorize`; a covariance
-    that does not factorize even so is a DegenerateModelError.
+    that does not factorize even so is a DegenerateModelError. A covariance
+    from p frames or fewer has rank below p, so it is loaded even where
+    rounding would let its Cholesky factorization through.
     """
     sums, outers, counts = moments
     del moments  # this frame's references are then the only ones to the raw sums
     means, covs = _ml_moments(sums, outers, counts)
     del sums, outers  # raw moments are not needed while factorizing
     try:
-        return _factorized(means, covs, counts)
+        return _factorized(means, covs, counts, singular=counts <= covs.shape[-1])
     except NotPositiveDefiniteError as exc:
         raise DegenerateModelError(
             f"covariance of a frame block is not positive definite: {exc}"

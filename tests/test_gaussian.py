@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from sosid.errors import DegenerateModelError, NotPositiveDefiniteError, SosidError
 from sosid.gaussian import (
+    DEFAULT_LOADING_SCALE,
     GaussianModel,
     factorize,
     load_model_store,
@@ -174,6 +176,16 @@ def _one_pass_model(x):
     return GaussianModel(mean=mean, cov=(cov + cov.T) / 2.0, count=n)
 
 
+def _block_factorization(model):
+    """factorize() of a block's model, except that a model from p frames or
+    fewer is singular and so takes the diagonal loading up front."""
+    p = len(model.mean)
+    if model.count > p:
+        return factorize(model)
+    loading = DEFAULT_LOADING_SCALE * max(np.trace(model.cov), 0.0) / p
+    return dataclasses.replace(factorize(model.cov + loading * np.eye(p)), loading=loading)
+
+
 class TestStackBlocks:
     """The batch builder equals a one-pass estimate + factorize, block by block."""
 
@@ -194,7 +206,7 @@ class TestStackBlocks:
         blocks = [block for blocks in sets for block in blocks]
         models = [_one_pass_model(b) for b in blocks]
         try:  # a 1-frame block's covariance is exactly 0, which loading cannot rescue
-            facts = [factorize(model) for model in models]
+            facts = [_block_factorization(model) for model in models]
         except NotPositiveDefiniteError:
             with pytest.raises(DegenerateModelError), warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)  # block_len <= dim
@@ -228,6 +240,17 @@ class TestStackBlocks:
         for i, block in enumerate(good):
             fact = factorize(_one_pass_model(block))
             np.testing.assert_array_equal(stack.inverses[i], fact.inverse)
+
+    def test_singular_block_is_loaded_when_rounding_lets_cholesky_through(self):
+        # 2 frames at dimension 4 far from the origin: rank 1, yet rounding in
+        # the one-pass covariance leaves it factorizable without loading
+        block = np.random.default_rng(58).standard_normal((1, 2, 4)) + 100.0
+        model = _one_pass_model(block[0])
+        np.linalg.cholesky(model.cov)
+        with pytest.warns(RuntimeWarning, match="rank deficient"):
+            stack = stack_blocks([block])
+        assert stack.loadings[0] > 0.0
+        assert factorize(model).loading == 0.0  # a model's count is only a weight
 
     def test_one_frame_blocks_are_degenerate(self):
         with pytest.raises(DegenerateModelError, match="at least 2"):
