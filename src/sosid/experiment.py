@@ -23,10 +23,16 @@ percentage.
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import functools
 import hashlib
 import io
 import json
 import math
+import multiprocessing
+import multiprocessing.connection
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -139,9 +145,9 @@ def _manifest_field(obj, where: str, key: str, kind, optional: bool = False):
 def load_manifest(path) -> CorpusManifest:
     """Read a manifest JSON file; relative paths stay relative here.
 
-    A missing or ill-typed field, or a manifest that breaks a rule of
-    :class:`SentenceRef` or :class:`CorpusManifest`, is a ConfigurationError
-    naming the file.
+    A missing or ill-typed field, an empty speaker id, or a manifest that
+    breaks a rule of :class:`SentenceRef` or :class:`CorpusManifest`, is a
+    ConfigurationError naming the file.
     """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
@@ -149,6 +155,8 @@ def load_manifest(path) -> CorpusManifest:
         for i, entry in enumerate(_manifest_field(doc, "manifest", "speakers", list)):
             where = f"speakers[{i}]"
             speaker_id = _manifest_field(entry, where, "id", str)
+            if not speaker_id:
+                raise ConfigurationError(f"{where} field 'id' is empty")
             sentences = tuple(
                 SentenceRef(
                     *(
@@ -184,37 +192,131 @@ class LoadedCorpus:
     seed: int
 
 
+def _read_sentence(base: Path, cfg: FrontendConfig, ref: SentenceRef) -> tuple:
+    """One sentence's frames, then its alignment, each as read or as the exception raised.
+
+    Errors are returned, not raised, so that a worker process can send them
+    and :func:`load_corpus` can raise them where a serial read would: in
+    manifest order, and an alignment's only after the frames' width check.
+    A failed frame read skips the alignment.
+    """
+    try:
+        if ref.features is not None:
+            frames = load_features_csv(base / ref.features).vectors
+        else:
+            frames = extract_features(load_wav(base / ref.audio), cfg).vectors
+    except Exception as exc:  # raised by load_corpus, in manifest order
+        return exc, None
+    try:
+        return frames, parse_alignment(base / ref.alignment) if ref.alignment else None
+    except Exception as exc:  # raised by load_corpus after the width check
+        return frames, exc
+
+
+def _send_reads(read, refs, conn) -> None:
+    """Worker body: send ``read(ref)`` for each of ``refs``, in order, down ``conn``."""
+    for ref in refs:
+        conn.send(read(ref))
+
+
+def _received_in_order(conns: list, n: int):
+    """Results 0 to n - 1, where ``conns[w]`` sends results w, w + P, w + 2P, ... in order.
+
+    Whichever pipe is ready is read, so that no worker waits for this
+    process to want its next result.
+    """
+    received = [collections.deque() for _ in conns]
+    left = {conn: len(range(w, n, len(conns))) for w, conn in enumerate(conns)}
+    for i in range(n):
+        wanted = received[i % len(conns)]
+        while not wanted:
+            for conn in multiprocessing.connection.wait([c for c in conns if left[c]]):
+                received[conns.index(conn)].append(conn.recv())
+                left[conn] -= 1
+        yield wanted.popleft()
+
+
+@contextlib.contextmanager
+def _reads_in_order(read, refs: list):
+    """An iterator of ``read(ref)`` over ``refs``, in order, read on every usable CPU.
+
+    With two or more CPUs in ``os.sched_getaffinity``, ``fork``ed workers
+    take the refs round robin and send each result down their own pipe;
+    this process reads the pipes as they fill and yields in manifest order,
+    so it unpickles every result itself. Otherwise (one CPU, one ref, no
+    ``fork``, or a daemonic process, which may not have children) it is the
+    builtin ``map``. Every worker has exited, or is killed if the body
+    raised, before the context exits.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    processes = min(cpus, len(refs))
+    if (
+        processes < 2
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+    ):
+        yield map(read, refs)
+        return
+    # fork, not spawn: a spawned worker re-imports numpy and scipy on every run
+    ctx = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for w in range(processes):
+            recv_end, send_end = ctx.Pipe(duplex=False)
+            worker = ctx.Process(target=_send_reads, args=(read, refs[w::processes], send_end))
+            worker.start()
+            send_end.close()
+            workers.append((worker, recv_end))
+        yield _received_in_order([conn for _, conn in workers], len(refs))
+    except BaseException:
+        for worker, _ in workers:
+            worker.kill()
+        raise
+    finally:
+        for worker, conn in workers:
+            worker.join()
+            conn.close()
+
+
 def load_corpus(
     manifest,
     frontend_config: FrontendConfig | None = None,
     base_dir=None,
 ) -> LoadedCorpus:
-    """Materialize a manifest: read feature CSVs or extract from WAVs."""
+    """Materialize a manifest: read feature CSVs or extract from WAVs.
+
+    Sentences are read by ``fork``ed worker processes, one per CPU this
+    process may use (``os.sched_getaffinity``), or in-process where there is
+    one such CPU, no ``fork``, or a daemonic caller; there is no option.
+    Either way the corpus, and the first error raised (its type and
+    message), are those of a serial read in manifest order, and no worker
+    outlives the call. ``taskset -c 0`` runs it on one CPU.
+    """
     if isinstance(manifest, (str, Path)):
         base_dir = Path(manifest).parent if base_dir is None else Path(base_dir)
         manifest = load_manifest(manifest)
     base = Path(base_dir) if base_dir is not None else Path(".")
     cfg = frontend_config if frontend_config is not None else FrontendConfig()
+    refs = [ref for _, speaker_refs in manifest.speakers for ref in speaker_refs]
     speakers = []
     dim = None  # every sentence needs the first one's column count
-    for speaker_id, refs in manifest.speakers:
-        sentences = []
-        for ref in refs:
-            if ref.features is not None:
-                frames = load_features_csv(base / ref.features).vectors
-            else:
-                frames = extract_features(load_wav(base / ref.audio), cfg).vectors
-            dim = frames.shape[1] if dim is None else dim
-            if frames.shape[1] != dim:
-                raise SosidError(
-                    f"{base / (ref.features or ref.audio)}: {frames.shape[1]} feature "
-                    f"columns, but the corpus's earlier sentences have {dim}"
-                )
-            alignment = (
-                parse_alignment(base / ref.alignment) if ref.alignment else None
-            )
-            sentences.append(LoadedSentence(frames=frames, alignment=alignment))
-        speakers.append((speaker_id, tuple(sentences)))
+    with _reads_in_order(functools.partial(_read_sentence, base, cfg), refs) as results:
+        for speaker_id, speaker_refs in manifest.speakers:
+            sentences = []
+            for ref in speaker_refs:
+                frames, alignment = next(results)
+                if isinstance(frames, Exception):
+                    raise frames
+                dim = frames.shape[1] if dim is None else dim
+                if frames.shape[1] != dim:
+                    raise SosidError(
+                        f"{base / (ref.features or ref.audio)}: {frames.shape[1]} feature "
+                        f"columns, but the corpus's earlier sentences have {dim}"
+                    )
+                if isinstance(alignment, Exception):
+                    raise alignment
+                sentences.append(LoadedSentence(frames=frames, alignment=alignment))
+            speakers.append((speaker_id, tuple(sentences)))
     return LoadedCorpus(speakers=tuple(speakers), seed=manifest.seed)
 
 

@@ -490,7 +490,7 @@ class TestExitCodes:
         assert "usecols" not in err
         assert not (tmp_path / "store").exists()
 
-    @pytest.mark.parametrize("command", ["train", "eval-duration"])
+    @pytest.mark.parametrize("command", ["train", "eval-duration", "eval-phonetic"])
     @pytest.mark.parametrize(
         "edit, named",
         [
@@ -518,10 +518,17 @@ class TestExitCodes:
                 lambda doc: {**doc, "speakers": doc["speakers"] * 2},
                 "duplicate speaker ids",
             ),
+            (
+                lambda doc: {
+                    **doc,
+                    "speakers": [doc["speakers"][0], {**doc["speakers"][1], "id": ""}],
+                },
+                "speakers[1] field 'id' is empty",
+            ),
         ],
         ids=[
             "empty", "list", "speakers-string", "no-id", "no-sentences", "number-path",
-            "seed", "no-source", "duplicate-id",
+            "seed", "no-source", "duplicate-id", "empty-id",
         ],
     )
     def test_malformed_manifest_is_data_error(

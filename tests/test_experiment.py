@@ -1,4 +1,8 @@
+import hashlib
+import json
 import math
+import multiprocessing
+import os
 import re
 import warnings
 from unittest import mock
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sosid import experiment
+from sosid.cli import main
 from sosid.errors import (
     AlignmentError,
     ConfigurationError,
@@ -29,6 +34,7 @@ from sosid.experiment import (
     run_duration_experiment,
     run_phonetic_experiment,
 )
+from sosid.frontend import save_wav
 from sosid.gaussian import GaussianModel, factorize, stack_blocks
 from sosid.phonetic import assemble_tests, default_taxonomy, expand_kernels, select_frames
 from sosid.synthetic import SynthCorpusConfig, make_corpus, write_corpus
@@ -128,6 +134,157 @@ class TestManifest:
             for sa, sb in zip(sents_a, sents_b):
                 np.testing.assert_array_equal(sa.frames, sb.frames)
                 assert sa.alignment == sb.alignment
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set how many CPUs ``load_corpus`` sees; count the fork contexts it asks for."""
+    forks = []
+    get_context = multiprocessing.get_context
+
+    def counting_get_context(method=None):
+        forks.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", counting_get_context)
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        return forks
+
+    return use
+
+
+def _feature_corpus(tmp_path):
+    cfg = SynthCorpusConfig(
+        n_speakers=3, dim=4, frames_per_speaker=400, sentence_len_frames=100, seed=5
+    )
+    return write_corpus(cfg, tmp_path / "corpus")
+
+
+def _wav_corpus(tmp_path):
+    rng = np.random.default_rng(11)
+    speakers = []
+    for s in range(2):
+        sentences = []
+        for j in range(3):
+            name = f"spk{s}-{j}.wav"
+            save_wav(tmp_path / name, rng.normal(0, 2000 * (s + 1), 4000), 16000)
+            sentences.append({"audio": name})
+        speakers.append({"id": f"spk{s}", "sentences": sentences})
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"seed": 2, "speakers": speakers}))
+    return manifest
+
+
+def _assert_identical(got, want):
+    assert got.seed == want.seed
+    assert [sid for sid, _ in got.speakers] == [sid for sid, _ in want.speakers]
+    for (_, got_sentences), (_, want_sentences) in zip(got.speakers, want.speakers):
+        assert len(got_sentences) == len(want_sentences)
+        for a, b in zip(got_sentences, want_sentences):
+            assert a.frames.dtype == b.frames.dtype and a.frames.shape == b.frames.shape
+            assert a.frames.tobytes() == b.frames.tobytes()
+            assert a.alignment == b.alignment
+
+
+def _corpus_digest(manifest_path) -> str:
+    corpus = load_corpus(manifest_path)
+    frames = [s.frames.tobytes() for _, sentences in corpus.speakers for s in sentences]
+    return hashlib.sha256(b"".join(frames)).hexdigest()
+
+
+def _break_feature_corpus(manifest_path, case):
+    """Damage a feature corpus as ``case`` says; return the file the first error names."""
+    root = manifest_path.parent
+    if case == "narrow-then-malformed":
+        # sentences 1 and 3 go to the same worker, sentence 2 to the other
+        np.savetxt(root / "spk000" / "s001.csv", np.ones((5, 3)), delimiter=",")
+        (root / "spk000" / "s002.csv").write_text("1,2,x,4\n")
+        (root / "spk000" / "s003.csv").write_text("1,2,3,4\n1,2\n")
+        return root / "spk000" / "s001.csv"
+    if case == "narrow-without-alignment":
+        np.savetxt(root / "spk001" / "s001.csv", np.ones((5, 3)), delimiter=",")
+        (root / "spk001" / "s001.ali").unlink()
+        return root / "spk001" / "s001.csv"
+    if case == "malformed-last-speaker":
+        (root / "spk002" / "s003.csv").write_text("1,2,3,4\n1,2\n")
+        return root / "spk002" / "s003.csv"
+    if case == "missing-features":
+        (root / "spk001" / "s002.csv").unlink()
+        (root / "spk002" / "s000.csv").write_text("")
+        return root / "spk001" / "s002.csv"
+    if case == "missing-alignment":
+        (root / "spk001" / "s000.ali").unlink()
+        return root / "spk001" / "s000.ali"
+    raise AssertionError(case)
+
+
+_BROKEN_CORPORA = [
+    "narrow-then-malformed",
+    "narrow-without-alignment",
+    "malformed-last-speaker",
+    "missing-features",
+    "missing-alignment",
+]
+
+
+class TestLoadCorpusWorkers:
+    """load_corpus reads on worker processes and still equals a serial read."""
+
+    @pytest.mark.parametrize("make", [_feature_corpus, _wav_corpus], ids=["csv", "wav"])
+    def test_workers_equal_one_cpu_bit_for_bit(self, tmp_path, cpus, make):
+        manifest = make(tmp_path)
+        forks = cpus(1)
+        serial = load_corpus(manifest)
+        assert forks == []
+        cpus(2)
+        pooled = load_corpus(manifest)
+        assert forks == ["fork"]
+        _assert_identical(pooled, serial)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("case", _BROKEN_CORPORA)
+    def test_first_error_equals_the_serial_one(self, tmp_path, cpus, case):
+        manifest = _feature_corpus(tmp_path)
+        named = _break_feature_corpus(manifest, case)
+        raised = []
+        for n in (1, 2):
+            cpus(n)
+            with pytest.raises(Exception) as info:
+                load_corpus(manifest)
+            raised.append(info.value)
+            assert multiprocessing.active_children() == []
+        serial, pooled = raised
+        assert type(pooled) is type(serial)
+        assert str(pooled) == str(serial)
+        assert str(named) in str(serial)
+        if case.startswith("narrow"):
+            assert "3 feature columns, but the corpus's earlier sentences have 4" in str(serial)
+
+    @pytest.mark.parametrize("case", _BROKEN_CORPORA)
+    def test_cli_exit_2_with_the_serial_message(self, tmp_path, cpus, capsys, case):
+        manifest = _feature_corpus(tmp_path)
+        _break_feature_corpus(manifest, case)
+        messages = []
+        for n in (1, 2):
+            cpus(n)
+            for command in (["train", "--out", str(tmp_path / "store")], ["eval-phonetic"]):
+                assert main([*command, "--manifest", str(manifest)]) == 2
+                messages.append(capsys.readouterr().err)
+        assert messages[:2] == messages[2:]
+        assert not (tmp_path / "store").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_reads_in_process_in_a_daemonic_process(self, tmp_path, cpus):
+        manifest = _feature_corpus(tmp_path)
+        forks = cpus(2)
+        want = _corpus_digest(manifest)
+        assert forks == ["fork"]
+        # a daemonic pool worker may not start processes of its own
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(_corpus_digest, (str(manifest),)) == want
+        assert multiprocessing.active_children() == []
 
 
 def _easy_corpus(n_speakers=2, frames=2600, seed=0, separation=8.0):
