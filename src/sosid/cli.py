@@ -122,16 +122,20 @@ def _duration_config(args) -> DurationProtocolConfig:
         overrides = {}
     else:
         overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(overrides, dict):
+            raise ConfigurationError(f"{args.config}: not a JSON object")
+    for key in ("train_durations", "test_durations", "measures"):
+        if key in overrides:
+            if not isinstance(overrides[key], list):
+                raise ConfigurationError(f"{args.config}: {key!r} is not an array")
+            overrides[key] = tuple(overrides[key])
     if args.measure:
         overrides["measures"] = tuple(args.measure)
     if args.sc_convention is not None:
         overrides["sc_convention"] = args.sc_convention
-    for key in ("train_durations", "test_durations", "measures"):
-        if key in overrides:
-            overrides[key] = tuple(overrides[key])
     try:
         return DurationProtocolConfig(**overrides)
-    except TypeError as exc:
+    except (TypeError, ConfigurationError) as exc:
         raise ConfigurationError(f"{args.config}: {exc}") from None
 
 
@@ -143,8 +147,8 @@ def _load_eval_corpus(args):
 
 
 def _cmd_eval_duration(args) -> int:
-    corpus = _load_eval_corpus(args)
-    report = run_duration_experiment(corpus, _duration_config(args))
+    cfg = _duration_config(args)
+    report = run_duration_experiment(_load_eval_corpus(args), cfg)
     _write_or_print(emit_report(report, args.format), args.out)
     return 0
 

@@ -32,7 +32,10 @@ import json
 import math
 import multiprocessing
 import multiprocessing.connection
+import numbers
 import os
+import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -84,6 +87,8 @@ def _check_measures(kinds, sc_convention: str) -> None:
 
 def _seconds_to_frames(seconds: float) -> int:
     """Frames in ``seconds`` of material; a ConfigurationError naming it below 2."""
+    if isinstance(seconds, bool) or not isinstance(seconds, numbers.Real):
+        raise ConfigurationError(f"duration {seconds!r} is not a number")
     if not math.isfinite(seconds):
         raise ConfigurationError(f"duration {seconds:g} s is not a finite number")
     frames = round(seconds * FRAMES_PER_SECOND)
@@ -193,81 +198,123 @@ class LoadedCorpus:
 
 
 def _read_sentence(base: Path, cfg: FrontendConfig, ref: SentenceRef) -> tuple:
-    """One sentence's frames, then its alignment, each as read or as the exception raised.
+    """One sentence's frames, and its alignment as read or as the exception raised.
 
-    Errors are returned, not raised, so that a worker process can send them
-    and :func:`load_corpus` can raise them where a serial read would: in
-    manifest order, and an alignment's only after the frames' width check.
-    A failed frame read skips the alignment.
+    The alignment's error is returned, not raised, so that :func:`load_corpus`
+    raises it only after the frames' width check, as a serial read does.
     """
-    try:
-        if ref.features is not None:
-            frames = load_features_csv(base / ref.features).vectors
-        else:
-            frames = extract_features(load_wav(base / ref.audio), cfg).vectors
-    except Exception as exc:  # raised by load_corpus, in manifest order
-        return exc, None
+    if ref.features is not None:
+        frames = load_features_csv(base / ref.features).vectors
+    else:
+        frames = extract_features(load_wav(base / ref.audio), cfg).vectors
     try:
         return frames, parse_alignment(base / ref.alignment) if ref.alignment else None
     except Exception as exc:  # raised by load_corpus after the width check
         return frames, exc
 
 
-def _send_reads(read, refs, conn) -> None:
-    """Worker body: send ``read(ref)`` for each of ``refs``, in order, down ``conn``."""
-    for ref in refs:
-        conn.send(read(ref))
+def _outcome(fn, item) -> tuple:
+    """``fn(item)`` or the exception it raised, and every warning it raised, in order."""
+    value = error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = fn(item)
+        except Exception as exc:  # raised again by the calling process, in item order
+            error = exc
+    return value, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
-def _received_in_order(conns: list, n: int):
-    """Results 0 to n - 1, where ``conns[w]`` sends results w, w + P, w + 2P, ... in order.
+def _send_outcomes(fn, items, conn) -> None:
+    """Worker body: send the :func:`_outcome` of each of ``items``, in order, down ``conn``."""
+    for item in items:
+        conn.send(_outcome(fn, item))
 
-    Whichever pipe is ready is read, so that no worker waits for this
-    process to want its next result.
+
+def _replayed(outcome):
+    """An outcome replayed: its warnings re-emitted here, in order, then its
+    exception raised, or else its value returned.
+
+    Each warning goes through ``warn_explicit`` with the module and the
+    registry of the code that raised it, so this process's filters decide,
+    ``"default"`` and ``"error"`` included, as if it had been raised here.
     """
-    received = [collections.deque() for _ in conns]
-    left = {conn: len(range(w, n, len(conns))) for w, conn in enumerate(conns)}
-    for i in range(n):
-        wanted = received[i % len(conns)]
-        while not wanted:
-            for conn in multiprocessing.connection.wait([c for c in conns if left[c]]):
-                received[conns.index(conn)].append(conn.recv())
-                left[conn] -= 1
-        yield wanted.popleft()
+    value, error, caught = outcome
+    if caught:
+        modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+        for message, category, filename, lineno in caught:
+            module = modules.get(filename)
+            name = getattr(module, "__name__", None)
+            registry = vars(module).setdefault("__warningregistry__", {}) if module else None
+            warnings.warn_explicit(message, category, filename, lineno, name, registry)
+    if error is not None:
+        raise error
+    return value
+
+
+def _outcomes(fn, items: list, conns: list) -> list:
+    """The :func:`_outcome` of every item, with P = ``len(conns) + 1``.
+
+    ``conns[w]`` sends the outcomes of items w, w + P, w + 2P, ... in order,
+    and this process computes items P - 1, 2P - 1, ... itself. After each of
+    its own it reads every pipe that is ready, so that no worker waits long
+    for this process to take its results.
+    """
+    processes = len(conns) + 1
+    outcomes = [None] * len(items)
+    # the items each worker has still to send, in order
+    pending = {
+        conn: collections.deque(range(w, len(items), processes)) for w, conn in enumerate(conns)
+    }
+
+    def receive(timeout):
+        busy = [conn for conn in conns if pending[conn]]
+        for conn in multiprocessing.connection.wait(busy, timeout):
+            outcomes[pending[conn].popleft()] = conn.recv()
+
+    for j in range(processes - 1, len(items), processes):
+        outcomes[j] = _outcome(fn, items[j])
+        receive(timeout=0)
+    while any(pending.values()):
+        receive(timeout=None)
+    return outcomes
 
 
 @contextlib.contextmanager
-def _reads_in_order(read, refs: list):
-    """An iterator of ``read(ref)`` over ``refs``, in order, read on every usable CPU.
+def _ordered_map(fn, items: list):
+    """An iterator of ``fn(item)`` over ``items``, in order, computed on every usable CPU.
 
-    With two or more CPUs in ``os.sched_getaffinity``, ``fork``ed workers
-    take the refs round robin and send each result down their own pipe;
-    this process reads the pipes as they fill and yields in manifest order,
-    so it unpickles every result itself. Otherwise (one CPU, one ref, no
-    ``fork``, or a daemonic process, which may not have children) it is the
-    builtin ``map``. Every worker has exited, or is killed if the body
-    raised, before the context exits.
+    With P >= 2 CPUs in ``os.sched_getaffinity`` and as many items, this
+    process computes every P-th item itself and P - 1 ``fork``ed workers take
+    the others round robin, each sending its outcomes down its own pipe.
+    Each item runs under :func:`_outcome`. Once every outcome is in, they
+    are replayed in item order: an item's warnings are re-emitted, and then
+    its exception raised, when its turn comes, so the warnings the caller
+    sees and the first error it gets are a serial run's.
+    Otherwise (one CPU, one item, no ``fork``, or a daemonic process, which
+    may not have children) it is the builtin ``map``. Every worker has
+    exited, or is killed if the body raised, before the context exits.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    processes = min(cpus, len(refs))
+    processes = min(cpus, len(items))
     if (
         processes < 2
         or "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
     ):
-        yield map(read, refs)
+        yield map(fn, items)
         return
     # fork, not spawn: a spawned worker re-imports numpy and scipy on every run
     ctx = multiprocessing.get_context("fork")
     workers = []
     try:
-        for w in range(processes):
+        for w in range(processes - 1):
             recv_end, send_end = ctx.Pipe(duplex=False)
-            worker = ctx.Process(target=_send_reads, args=(read, refs[w::processes], send_end))
+            worker = ctx.Process(target=_send_outcomes, args=(fn, items[w::processes], send_end))
             worker.start()
             send_end.close()
             workers.append((worker, recv_end))
-        yield _received_in_order([conn for _, conn in workers], len(refs))
+        yield map(_replayed, _outcomes(fn, items, [conn for _, conn in workers]))
     except BaseException:
         for worker, _ in workers:
             worker.kill()
@@ -285,12 +332,13 @@ def load_corpus(
 ) -> LoadedCorpus:
     """Materialize a manifest: read feature CSVs or extract from WAVs.
 
-    Sentences are read by ``fork``ed worker processes, one per CPU this
-    process may use (``os.sched_getaffinity``), or in-process where there is
-    one such CPU, no ``fork``, or a daemonic caller; there is no option.
-    Either way the corpus, and the first error raised (its type and
+    Sentences are read on every CPU this process may use
+    (``os.sched_getaffinity``): this process and one ``fork``ed worker per
+    further CPU, or this process alone where there is one such CPU, no
+    ``fork``, or a daemonic caller; there is no option. Either way the
+    corpus, its warnings, and the first error raised (its type and
     message), are those of a serial read in manifest order, and no worker
-    outlives the call. ``taskset -c 0`` runs it on one CPU.
+    outlives the call. ``taskset -c 0`` gives a serial run.
     """
     if isinstance(manifest, (str, Path)):
         base_dir = Path(manifest).parent if base_dir is None else Path(base_dir)
@@ -300,13 +348,11 @@ def load_corpus(
     refs = [ref for _, speaker_refs in manifest.speakers for ref in speaker_refs]
     speakers = []
     dim = None  # every sentence needs the first one's column count
-    with _reads_in_order(functools.partial(_read_sentence, base, cfg), refs) as results:
+    with _ordered_map(functools.partial(_read_sentence, base, cfg), refs) as results:
         for speaker_id, speaker_refs in manifest.speakers:
             sentences = []
             for ref in speaker_refs:
                 frames, alignment = next(results)
-                if isinstance(frames, Exception):
-                    raise frames
                 dim = frames.shape[1] if dim is None else dim
                 if frames.shape[1] != dim:
                     raise SosidError(
@@ -333,7 +379,10 @@ class DurationProtocolConfig:
     def __post_init__(self):
         if not self.train_durations or not self.test_durations:
             raise ConfigurationError("duration lists must be non-empty")
-        if self.max_tests_per_speaker < 1:
+        cap = self.max_tests_per_speaker
+        if isinstance(cap, bool) or not isinstance(cap, int):
+            raise ConfigurationError(f"max_tests_per_speaker must be an integer, got {cap!r}")
+        if cap < 1:
             raise ConfigurationError("max_tests_per_speaker must be >= 1")
         _check_measures(self.measures, self.sc_convention)
         for duration in self.train_durations + self.test_durations:
@@ -465,16 +514,26 @@ def _score_cells(registry, tests, owners, kinds, sc_convention, min_tests=None) 
     return cells
 
 
-def _report(protocol, axes, seed, digest, cells, kinds, sc_convention, min_tests=None):
-    """The report of every (coords, registry, tests, owners) cell, for each measure kind."""
+def _report(protocol, axes, seed, digest, cells: list, kinds, sc_convention, min_tests=None):
+    """The report of every (coords, build) cell, for each measure kind.
+
+    ``build()`` returns the cell's (registry, tests, owners). Cells are built
+    and scored on every CPU this process may use, as :func:`_ordered_map`
+    says, and only their :class:`ReportCell` dicts come back, in cell order.
+    """
     report = ExperimentReport(
         axes=(*axes, "measure"),
         metadata={"protocol": protocol, "seed": seed, "config": digest},
     )
-    for coords, registry, tests, owners in cells:
-        scored = _score_cells(registry, tests, owners, kinds, sc_convention, min_tests)
-        for kind, cell in scored.items():
-            report.cells[(*coords, kind)] = cell
+
+    def score(cell):
+        _, build = cell
+        return _score_cells(*build(), kinds, sc_convention, min_tests)
+
+    with _ordered_map(score, cells) as scored:
+        for (coords, _), by_kind in zip(cells, scored):
+            for kind, cell in by_kind.items():
+                report.cells[(*coords, kind)] = cell
     return report
 
 
@@ -485,7 +544,13 @@ def _ordered_measures(requested) -> tuple:
 def run_duration_experiment(
     corpus: LoadedCorpus, cfg: DurationProtocolConfig | None = None
 ) -> ExperimentReport:
-    """Run the training-duration x test-duration grid over a corpus."""
+    """Run the training-duration x test-duration grid over a corpus.
+
+    The segment moments and the reference registries are computed here; the
+    grid's cells are then scored on every CPU this process may use (see
+    :func:`load_corpus`), and the report is that of a serial run, which
+    ``taskset -c 0`` gives.
+    """
     if cfg is None:
         cfg = DurationProtocolConfig()
     train_grid = sorted(set(cfg.train_durations), reverse=True)
@@ -511,18 +576,21 @@ def run_duration_experiment(
             yield concat, np.concatenate(edges)
 
     moments = SegmentMoments(cut_streams())
+    registries = [_reference_registry(ids, moments, train_f) for train_f in train_frames]
 
-    def cells():
-        for train_s, train_f in zip(train_grid, train_frames):
-            registry = _reference_registry(ids, moments, train_f)
-            for test_s, test_f in zip(test_grid, test_frames):
-                bounds = [_test_bounds(n, train_f, test_f, cap) for n in n_frames]
-                owners = [sid for sid, b in zip(ids, bounds) for _ in range(len(b) - 1)]
-                yield (train_s, test_s), registry, stack_moments(moments.spans(bounds)), owners
+    def build(registry, train_f, test_f):
+        bounds = [_test_bounds(n, train_f, test_f, cap) for n in n_frames]
+        owners = [sid for sid, b in zip(ids, bounds) for _ in range(len(b) - 1)]
+        return registry, stack_moments(moments.spans(bounds)), owners
 
+    cells = [
+        ((train_s, test_s), functools.partial(build, registry, train_f, test_f))
+        for train_s, train_f, registry in zip(train_grid, train_frames, registries)
+        for test_s, test_f in zip(test_grid, test_frames)
+    ]
     kinds = _ordered_measures(cfg.measures)
     axes = ("train_s", "test_s")
-    return _report("duration", axes, corpus.seed, cfg.digest(), cells(), kinds, cfg.sc_convention)
+    return _report("duration", axes, corpus.seed, cfg.digest(), cells, kinds, cfg.sc_convention)
 
 
 def _test_bounds(n_frames: int, train_f: int, test_f: int, cap: int) -> np.ndarray:
@@ -566,7 +634,12 @@ def run_phonetic_experiment(
     pre_frames: int = DEFAULT_PRE_FRAMES,
     post_frames: int = DEFAULT_POST_FRAMES,
 ) -> ExperimentReport:
-    """Score phonetically biased one-second tests against unbiased training."""
+    """Score phonetically biased one-second tests against unbiased training.
+
+    As in :func:`run_duration_experiment`, the cells, one per selector, are
+    scored on every CPU this process may use, and the report is that of a
+    serial run.
+    """
     train_f = _seconds_to_frames(train_seconds)
     if test_len < 2:
         raise ConfigurationError(f"test length must be at least 2 frames, got {test_len}")
@@ -595,19 +668,20 @@ def run_phonetic_experiment(
     training = SegmentMoments((concat, [train_f]) for _, concat, _ in streams)
     registry = _reference_registry(ids, training, train_f)
 
-    def cells():
-        for selector in selectors:
-            owners = []
+    def build(selector):
+        owners = []
 
-            def speaker_tests():
-                # one speaker's pooled frames alive at a time
-                for speaker_id, concat, segments in streams:
-                    pooled = select_frames(concat, segments, selector, taxonomy)
-                    blocks = assemble_tests(pooled, test_len)
-                    owners.extend([speaker_id] * len(blocks))
-                    yield blocks
+        def speaker_tests():
+            # one speaker's pooled frames alive at a time
+            for speaker_id, concat, segments in streams:
+                pooled = select_frames(concat, segments, selector, taxonomy)
+                blocks = assemble_tests(pooled, test_len)
+                owners.extend([speaker_id] * len(blocks))
+                yield blocks
 
-            yield (selector,), registry, stack_blocks(speaker_tests()), owners
+        return registry, stack_blocks(speaker_tests()), owners
+
+    cells = [((selector,), functools.partial(build, selector)) for selector in selectors]
 
     digest = _digest(
         {
@@ -624,7 +698,7 @@ def run_phonetic_experiment(
         }
     )
     return _report(
-        "phonetic", ("selector",), corpus.seed, digest, cells(), kinds, sc_convention, min_tests
+        "phonetic", ("selector",), corpus.seed, digest, cells, kinds, sc_convention, min_tests
     )
 
 

@@ -192,8 +192,9 @@ def power_spectrum(frame: np.ndarray, dft_len: int | None = None) -> np.ndarray:
         raise ValueError(
             f"dft_len ({dft_len}) must be >= frame length ({frame.shape[-1]})"
         )
-    spectrum = np.fft.rfft(frame, n=dft_len)
-    return np.abs(spectrum) ** 2
+    power = np.abs(np.fft.rfft(frame, n=dft_len))
+    power **= 2  # in place: the same squares, one bin-sized copy fewer
+    return power
 
 
 def mel_edge_frequencies(cfg: FrontendConfig, sample_rate: int) -> np.ndarray:
@@ -247,8 +248,8 @@ def extract_features(buf: SampleBuffer, cfg: FrontendConfig = FrontendConfig()) 
     log).
     """
     frames = frame_signal(buf, cfg)
-    windowed = frames * hamming_window(cfg.frame_len)
-    power = power_spectrum(windowed, cfg.dft_len)
+    frames *= hamming_window(cfg.frame_len)  # a fresh array: no second frame-sized copy
+    power = power_spectrum(frames, cfg.dft_len)
     filterbank = build_mel_filterbank(cfg, buf.sample_rate)
     energies = power @ filterbank.T
     vectors = np.log(np.maximum(energies, cfg.log_floor))

@@ -369,6 +369,39 @@ class TestExitCodes:
         assert "duration 0.004 s" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ({"max_tests_per_speaker": 2.5}, "an integer, got 2.5"),
+            ({"max_tests_per_speaker": True}, "an integer, got True"),
+            ({"train_durations": 15}, "'train_durations' is not an array"),
+            ({"test_durations": 1.0}, "'test_durations' is not an array"),
+            ({"measures": "mu_g"}, "'measures' is not an array"),
+            ({"train_durations": ["15"]}, "duration '15' is not a number"),
+            ([15, 1], "not a JSON object"),
+            ("mu_g", "not a JSON object"),
+            (15, "not a JSON object"),
+        ],
+        ids=[
+            "fractional-cap", "boolean-cap", "scalar-train", "scalar-test", "scalar-measures",
+            "string-duration", "array-doc", "string-doc", "number-doc",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "flags", [[], ["--measure", "mu_g"], ["--sc-convention", "as-printed"]],
+        ids=["no-flags", "measure", "sc-convention"],
+    )
+    def test_malformed_protocol_config_is_data_error(
+        self, corpus_dir, tmp_path, capsys, doc, named, flags
+    ):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(doc))
+        manifest = str(corpus_dir / "manifest.json")
+        code = main(["eval-duration", "--manifest", manifest, "--config", str(config), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and named in err
+
+    @pytest.mark.parametrize(
         "flags, named",
         [
             (["--train-seconds", "-1"], "duration -1 s"),

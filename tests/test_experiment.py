@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -16,6 +17,7 @@ from sosid.cli import main
 from sosid.errors import (
     AlignmentError,
     ConfigurationError,
+    DegenerateModelError,
     InsufficientDataError,
     TaxonomyError,
 )
@@ -138,7 +140,7 @@ class TestManifest:
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set how many CPUs ``load_corpus`` sees; count the fork contexts it asks for."""
+    """Set how many CPUs the ordered map sees; count the fork contexts it asks for."""
     forks = []
     get_context = multiprocessing.get_context
 
@@ -198,7 +200,7 @@ def _break_feature_corpus(manifest_path, case):
     """Damage a feature corpus as ``case`` says; return the file the first error names."""
     root = manifest_path.parent
     if case == "narrow-then-malformed":
-        # sentences 1 and 3 go to the same worker, sentence 2 to the other
+        # sentences 1 and 3 are read by the same process, sentence 2 by the other
         np.savetxt(root / "spk000" / "s001.csv", np.ones((5, 3)), delimiter=",")
         (root / "spk000" / "s002.csv").write_text("1,2,x,4\n")
         (root / "spk000" / "s003.csv").write_text("1,2,3,4\n1,2\n")
@@ -422,6 +424,18 @@ class TestDurationExperiment:
         report = run_duration_experiment(_easy_corpus(), cfg)
         assert list(report.cells) == [(6.0, 1.0, "mu_gc")]
 
+    @pytest.mark.parametrize("cap", [2.5, 2.0, True, "3", None], ids=repr)
+    def test_cap_that_is_not_an_integer_rejected(self, cap):
+        # 2.5 would cut 3 tests per speaker, above the cap; True would read as 1
+        named = f"max_tests_per_speaker must be an integer, got {cap!r}"
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            DurationProtocolConfig(max_tests_per_speaker=cap)
+
+    @pytest.mark.parametrize("duration", ["15", True, None, [1.0]], ids=repr)
+    def test_duration_that_is_not_a_number_rejected(self, duration):
+        with pytest.raises(ConfigurationError, match=re.escape(f"duration {duration!r} is not")):
+            DurationProtocolConfig(train_durations=(duration,))
+
 
 @st.composite
 def _grids(draw):
@@ -481,9 +495,11 @@ class TestSegmentMomentsGrid:
             return score_cells(registry, tests, owners, *args)
 
         score_cells = experiment._score_cells
+        # on one CPU every cell is scored in this process, where the spy sees it
+        one_cpu = mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # short blocks
-            with mock.patch.object(experiment, "_score_cells", spy):
+            with mock.patch.object(experiment, "_score_cells", spy), one_cpu:
                 report = run_duration_experiment(corpus, cfg)
 
             streams = experiment._speaker_streams(corpus)
@@ -665,3 +681,136 @@ class TestPhoneticExperiment:
         _, corpus = _labeled_corpus()
         with pytest.raises(ConfigurationError, match=re.escape(named)):
             run_phonetic_experiment(corpus, selectors=("All",), **kwargs)
+
+
+def _duration_grid():
+    """Six duration cells. Tests of 5 and 3 frames at dimension 8 warn, with
+    the frame count in the text, in every cell but the first and the fourth."""
+    cfg = DurationProtocolConfig(train_durations=(15.0, 6.0), test_durations=(10.0, 0.05, 0.03))
+    return run_duration_experiment(_easy_corpus(), cfg)
+
+
+def _phonetic_grid():
+    """Five phonetic cells. Tests of 5 frames at dimension 6 warn in every cell
+    but the first, whose selector matches no frame of the synthetic corpus."""
+    _, corpus = _labeled_corpus()
+    selectors = ("LiquidsGlides", "All", "Vowels", "Consonants", "m")
+    return run_phonetic_experiment(corpus, selectors=selectors, test_len=5, min_tests=1)
+
+
+def _constant_span(corpus, index, start, stop):
+    """The corpus with frames start to stop of its index-th speaker's stream set to 1.
+
+    The stream's sentence order depends on the seed and the sentence count
+    only, so the span lands where it is asked to.
+    """
+    _, placed = experiment._speaker_stream(corpus, index)
+    replaced = {}
+    for offset, sentence in placed:
+        frames = sentence.frames.copy()
+        frames[max(start - offset, 0) : max(stop - offset, 0)] = 1.0
+        replaced[id(sentence)] = LoadedSentence(frames=frames, alignment=sentence.alignment)
+    speakers = list(corpus.speakers)
+    speaker_id, sentences = speakers[index]
+    speakers[index] = (speaker_id, tuple(replaced[id(s)] for s in sentences))
+    return LoadedCorpus(speakers=tuple(speakers), seed=corpus.seed)
+
+
+def _degenerate_duration_grid():
+    # only the fifth cell (2 s training, 10 s tests) has a constant test block;
+    # on 2, 3 and 4 CPUs that cell is a worker's
+    corpus = _constant_span(_easy_corpus(), 1, 200, 1200)
+    cfg = DurationProtocolConfig(test_durations=(10.0,))
+    return run_duration_experiment(corpus, cfg)
+
+
+def _degenerate_phonetic_grid():
+    # the second speaker's test material is constant; the first cell has no tests
+    _, corpus = _labeled_corpus()
+    corpus = _constant_span(corpus, 1, 1500, 3000)
+    return run_phonetic_experiment(corpus, selectors=("LiquidsGlides", "All", "Vowels"))
+
+
+@contextlib.contextmanager
+def _recorded(action):
+    """The warnings raised in the block under the filter ``action``.
+
+    Python 3.12 warns when a process with threads forks, and BLAS may have
+    started threads; that warning comes from the interpreter, not from a
+    cell, so it is left out.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+        yield caught
+
+
+_GRIDS = [_duration_grid, _phonetic_grid]
+_DEGENERATE_GRIDS = [_degenerate_duration_grid, _degenerate_phonetic_grid]
+
+
+class TestProtocolWorkers:
+    """Both protocols score their cells on worker processes and still equal a serial run."""
+
+    @pytest.mark.parametrize("action", ["always", "default"])
+    @pytest.mark.parametrize("grid", _GRIDS, ids=["duration", "phonetic"])
+    def test_reports_and_warnings_equal_one_cpu(self, cpus, grid, action):
+        runs = []
+        for n in (1, 2, 3, 4):
+            forks = cpus(n)
+            with _recorded(action) as caught:
+                report = grid()
+            runs.append((report, [(w.category, str(w.message)) for w in caught]))
+            assert multiprocessing.active_children() == []
+        assert forks == ["fork"] * 3
+        (serial, serial_warnings), *pooled = runs
+        assert serial_warnings and all(c is RuntimeWarning for c, _ in serial_warnings)
+        for report, caught in pooled:
+            for fmt in ("csv", "markdown"):
+                assert emit_report(report, fmt) == emit_report(serial, fmt)
+            assert list(report.cells.items()) == list(serial.cells.items())
+            assert caught == serial_warnings
+        assert any(cell.n_loaded for cell in serial.cells.values())
+
+    @pytest.mark.parametrize("grid", _GRIDS, ids=["duration", "phonetic"])
+    def test_error_filter_raises_the_serial_first_warning(self, cpus, grid):
+        raised = []
+        for n in (1, 2, 3, 4):
+            cpus(n)
+            with _recorded("error"), pytest.raises(RuntimeWarning) as info:
+                grid()
+            raised.append(info.value)
+            assert multiprocessing.active_children() == []
+        serial, *pooled = raised
+        assert "rank deficient" in str(serial)
+        for error in pooled:
+            assert type(error) is type(serial) and str(error) == str(serial)
+
+    @pytest.mark.parametrize("grid", _DEGENERATE_GRIDS, ids=["duration", "phonetic"])
+    def test_degenerate_cell_raises_the_serial_error(self, cpus, grid):
+        raised = []
+        for n in (1, 2, 3, 4):
+            cpus(n)
+            with pytest.raises(DegenerateModelError) as info:
+                grid()
+            raised.append(info.value)
+            assert multiprocessing.active_children() == []
+        serial, *pooled = raised
+        assert "not positive definite" in str(serial)
+        for error in pooled:
+            assert type(error) is type(serial) and str(error) == str(serial)
+
+    def test_scores_in_process_in_a_daemonic_process(self, cpus):
+        forks = cpus(2)
+        want = _quiet_reports()
+        assert forks == ["fork"] * 2
+        # a daemonic pool worker may not start processes of its own
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(_quiet_reports) == want
+        assert multiprocessing.active_children() == []
+
+
+def _quiet_reports() -> list:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # short tests
+        return [emit_report(grid(), "csv") for grid in _GRIDS]
