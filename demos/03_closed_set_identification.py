@@ -15,16 +15,20 @@ from sosid import (
     SynthCorpusConfig,
     generate_labeled_frames,
 )
+from sosid.gaussian import stack_blocks
 
 cfg = SynthCorpusConfig(n_speakers=5, dim=24, separation=1.0, seed=7)
 speakers = sample_speakers(cfg)
 
-# Reference models from 15 s of material each (1500 frames at 10 ms).
-registry = SpeakerRegistry()
+# Reference models from 15 s of material each (1500 frames at 10 ms),
+# estimated and factorized as one batch: one (1, frames, p) block per speaker.
+training = []
 for index, speaker in enumerate(speakers):
     rng = np.random.default_rng(np.random.SeedSequence([7, 10, index]))
     frames, _ = generate_labeled_frames(speaker, ["a"] * 1500, rng)
-    registry.register(speaker.speaker_id, GaussianModel.from_frames(frames.vectors))
+    training.append(frames.vectors)
+ids = [speaker.speaker_id for speaker in speakers]
+registry = SpeakerRegistry(ids, stack_blocks(x[None] for x in training))
 
 print(f"registry holds {len(registry)} speakers of dimension {registry.dim}")
 

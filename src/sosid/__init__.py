@@ -65,7 +65,6 @@ from .phonetic import (
     expand_kernels,
     load_taxonomy,
     parse_alignment,
-    save_taxonomy,
     select_frames,
 )
 from .experiment import (

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, InsufficientDataError, SosidError
+from .errors import ConfigurationError, InsufficientDataError, SosidError, json_document
 from .experiment import (
     DurationProtocolConfig,
     _seconds_to_frames,
@@ -52,11 +51,8 @@ class _Parser(argparse.ArgumentParser):
 def _frontend_config(path) -> FrontendConfig:
     if path is None:
         return FrontendConfig()
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
+    with json_document(path, "front-end config") as doc:
         return FrontendConfig(**doc)
-    except TypeError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 def _write_or_print(text: str, out_path) -> None:
@@ -118,25 +114,20 @@ def _cmd_identify(args) -> int:
 
 def _duration_config(args) -> DurationProtocolConfig:
     """The --config file's protocol, with the flags given on the command line over it."""
-    if args.config is None:
-        overrides = {}
-    else:
-        overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(overrides, dict):
-            raise ConfigurationError(f"{args.config}: not a JSON object")
-    for key in ("train_durations", "test_durations", "measures"):
-        if key in overrides:
-            if not isinstance(overrides[key], list):
-                raise ConfigurationError(f"{args.config}: {key!r} is not an array")
-            overrides[key] = tuple(overrides[key])
+    flags = {}
     if args.measure:
-        overrides["measures"] = tuple(args.measure)
+        flags["measures"] = tuple(args.measure)
     if args.sc_convention is not None:
-        overrides["sc_convention"] = args.sc_convention
-    try:
-        return DurationProtocolConfig(**overrides)
-    except (TypeError, ConfigurationError) as exc:
-        raise ConfigurationError(f"{args.config}: {exc}") from None
+        flags["sc_convention"] = args.sc_convention
+    if args.config is None:
+        return DurationProtocolConfig(**flags)
+    with json_document(args.config, "protocol config") as doc:
+        for key in ("train_durations", "test_durations", "measures"):
+            if key in doc:
+                if not isinstance(doc[key], list):
+                    raise ConfigurationError(f"{key!r} is not an array")
+                doc[key] = tuple(doc[key])
+        return DurationProtocolConfig(**{**doc, **flags})
 
 
 def _load_eval_corpus(args):
@@ -287,7 +278,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (SosidError, OSError, json.JSONDecodeError) as exc:
+    except (SosidError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

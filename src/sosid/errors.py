@@ -1,9 +1,13 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and its one reader of JSON documents.
 
 Every data-dependent failure raises a subclass of :class:`SosidError`, so
 callers (the CLI in particular) can separate bad data from genuine bugs.
 Dimension mismatches and other caller mistakes raise plain ``ValueError``.
 """
+
+import contextlib
+import json
+from pathlib import Path
 
 
 class SosidError(Exception):
@@ -40,3 +44,19 @@ class TaxonomyError(SosidError):
 
 class InsufficientDataError(SosidError):
     """A speaker does not have enough material for the requested protocol."""
+
+
+@contextlib.contextmanager
+def json_document(path, kind: str, error: type = ConfigurationError):
+    """Yield the JSON object in the UTF-8 file at ``path``, for the caller to build from.
+
+    A ValueError (not UTF-8, not JSON), TypeError (an unknown keyword, say) or
+    ``error`` raised in reading it or in the ``with`` body is an ``error`` naming the file.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise error(f"{kind} is not a JSON object")
+        yield doc
+    except (ValueError, TypeError, error) as exc:
+        raise error(f"{path}: {exc}") from None

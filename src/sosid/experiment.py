@@ -47,6 +47,7 @@ from .errors import (
     DegenerateModelError,
     InsufficientDataError,
     SosidError,
+    json_document,
 )
 from .frontend import (
     FrontendConfig,
@@ -154,8 +155,7 @@ def load_manifest(path) -> CorpusManifest:
     breaks a rule of :class:`SentenceRef` or :class:`CorpusManifest`, is a
     ConfigurationError naming the file.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
+    with json_document(path, "manifest") as doc:
         speakers = []
         for i, entry in enumerate(_manifest_field(doc, "manifest", "speakers", list)):
             where = f"speakers[{i}]"
@@ -172,13 +172,10 @@ def load_manifest(path) -> CorpusManifest:
                 for j, item in enumerate(_manifest_field(entry, where, "sentences", list))
             )
             speakers.append((speaker_id, sentences))
-        try:
-            seed = int(doc.get("seed", 0))
-        except (TypeError, ValueError):
-            raise ConfigurationError("manifest field 'seed' is not an integer") from None
+        seed = doc.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ConfigurationError("manifest field 'seed' is not an integer")
         return CorpusManifest(speakers=tuple(speakers), seed=seed)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -197,20 +194,21 @@ class LoadedCorpus:
     seed: int
 
 
-def _read_sentence(base: Path, cfg: FrontendConfig, ref: SentenceRef) -> tuple:
-    """One sentence's frames, and its alignment as read or as the exception raised.
-
-    The alignment's error is returned, not raised, so that :func:`load_corpus`
-    raises it only after the frames' width check, as a serial read does.
+def _read_sentence(base: Path, cfg: FrontendConfig, dim, ref: SentenceRef) -> LoadedSentence:
+    """One sentence; the frames' error, then a column count other than ``dim``
+    (``None``: any), then the alignment's error, in a serial read's order.
     """
     if ref.features is not None:
         frames = load_features_csv(base / ref.features).vectors
     else:
         frames = extract_features(load_wav(base / ref.audio), cfg).vectors
-    try:
-        return frames, parse_alignment(base / ref.alignment) if ref.alignment else None
-    except Exception as exc:  # raised by load_corpus after the width check
-        return frames, exc
+    if dim is not None and frames.shape[1] != dim:
+        raise SosidError(
+            f"{base / (ref.features or ref.audio)}: {frames.shape[1]} feature "
+            f"columns, but the corpus's earlier sentences have {dim}"
+        )
+    alignment = parse_alignment(base / ref.alignment) if ref.alignment else None
+    return LoadedSentence(frames=frames, alignment=alignment)
 
 
 def _outcome(fn, item) -> tuple:
@@ -346,23 +344,16 @@ def load_corpus(
     base = Path(base_dir) if base_dir is not None else Path(".")
     cfg = frontend_config if frontend_config is not None else FrontendConfig()
     refs = [ref for _, speaker_refs in manifest.speakers for ref in speaker_refs]
+    sentences = []
+    if refs:
+        sentences.append(_read_sentence(base, cfg, None, refs[0]))
+        read = functools.partial(_read_sentence, base, cfg, sentences[0].frames.shape[1])
+        with _ordered_map(read, refs[1:]) as rest:
+            sentences.extend(rest)
+    loaded = iter(sentences)
     speakers = []
-    dim = None  # every sentence needs the first one's column count
-    with _ordered_map(functools.partial(_read_sentence, base, cfg), refs) as results:
-        for speaker_id, speaker_refs in manifest.speakers:
-            sentences = []
-            for ref in speaker_refs:
-                frames, alignment = next(results)
-                dim = frames.shape[1] if dim is None else dim
-                if frames.shape[1] != dim:
-                    raise SosidError(
-                        f"{base / (ref.features or ref.audio)}: {frames.shape[1]} feature "
-                        f"columns, but the corpus's earlier sentences have {dim}"
-                    )
-                if isinstance(alignment, Exception):
-                    raise alignment
-                sentences.append(LoadedSentence(frames=frames, alignment=alignment))
-            speakers.append((speaker_id, tuple(sentences)))
+    for speaker_id, speaker_refs in manifest.speakers:
+        speakers.append((speaker_id, tuple(next(loaded) for _ in speaker_refs)))
     return LoadedCorpus(speakers=tuple(speakers), seed=manifest.seed)
 
 

@@ -48,6 +48,10 @@ class FrontendConfig:
     log_floor: float = 1e-10
 
     def __post_init__(self):
+        for name in ("frame_len", "hop", "dft_len", "n_filters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.frame_len < 1:
             raise ConfigurationError(f"frame_len must be >= 1, got {self.frame_len}")
         if self.hop < 1:

@@ -16,13 +16,12 @@ fixed-length tests, dropping the remainder.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import AlignmentError, TaxonomyError
+from .errors import AlignmentError, TaxonomyError, json_document
 
 DEFAULT_PRE_FRAMES = 5
 DEFAULT_POST_FRAMES = 5
@@ -68,7 +67,10 @@ def _validate_entries(entries, source: str) -> tuple:
 
 def parse_alignment(path) -> AlignmentTrack:
     """Read and validate one sentence's alignment file."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise AlignmentError(f"{path}: {exc}") from None
     return parse_alignment_text(text, source=str(path))
 
 
@@ -229,23 +231,11 @@ def default_taxonomy() -> PhonemeClassTaxonomy:
 
 def load_taxonomy(path) -> PhonemeClassTaxonomy:
     """Load a taxonomy from a JSON file mapping class name to label array."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise TaxonomyError(f"{path}: taxonomy JSON must be an object")
-    classes = {}
-    for name, members in doc.items():
-        if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
-            raise TaxonomyError(f"{path}: class {name!r} must map to an array of labels")
-        classes[name] = frozenset(members)
-    return PhonemeClassTaxonomy(classes=classes)
-
-
-def save_taxonomy(taxonomy: PhonemeClassTaxonomy, path) -> None:
-    """Write a taxonomy as JSON with sorted member arrays."""
-    doc = {name: sorted(members) for name, members in taxonomy.classes.items()}
-    Path(path).write_text(
-        json.dumps(doc, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
+    with json_document(path, "taxonomy", TaxonomyError) as doc:
+        for name, members in doc.items():
+            if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
+                raise TaxonomyError(f"class {name!r} must map to an array of labels")
+        return PhonemeClassTaxonomy(classes=doc)
 
 
 def select_frames(

@@ -35,7 +35,11 @@ from .gaussian import GaussianModel
 from .measures import SC_DECOMPOSITION, evaluate
 from .phonetic import AlignmentTrack, default_taxonomy, format_alignment
 
-DEFAULT_LABELS = tuple(sorted(default_taxonomy().classes["All"]))
+# A sentence is runs of these labels, each run of a random length in this range;
+# every synthetic corpus, and every benchmark reference, depends on these values.
+_LABELS = tuple(sorted(default_taxonomy().classes["All"]))
+_MIN_RUN_FRAMES = 4
+_MAX_RUN_FRAMES = 12
 
 # Stream tags under the corpus seed: 0 speaker parameters, 1 sentence data.
 # (The experiment harness reserves tag 2 for its sentence shuffle.)
@@ -65,25 +69,19 @@ class SynthCorpusConfig:
     frames_per_speaker: int = 3000
     sentence_len_frames: int = 300
     seed: int = 0
-    labels: tuple = DEFAULT_LABELS
-    min_run_frames: int = 4
-    max_run_frames: int = 12
 
     def __post_init__(self):
         if self.n_speakers < 1 or self.dim < 1:
             raise ConfigurationError("n_speakers and dim must be >= 1")
-        if self.separation < 0 or self.class_spread < 0:
-            raise ConfigurationError("separation and class_spread must be >= 0")
+        # a NaN fails both comparisons
+        if not (0 <= self.separation < math.inf and 0 <= self.class_spread < math.inf):
+            raise ConfigurationError("separation and class_spread must be finite and >= 0")
         if not 0.0 <= self.frame_correlation < 1.0:
             raise ConfigurationError("frame_correlation must be in [0, 1)")
         if self.frames_per_speaker < 1 or self.sentence_len_frames < 1:
             raise ConfigurationError("frame counts must be >= 1")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
-        if not self.labels:
-            raise ConfigurationError("labels must be non-empty")
-        if not (1 <= self.min_run_frames <= self.max_run_frames):
-            raise ConfigurationError("need 1 <= min_run_frames <= max_run_frames")
 
 
 def sample_speakers(cfg: SynthCorpusConfig) -> list:
@@ -101,7 +99,7 @@ def sample_speakers(cfg: SynthCorpusConfig) -> list:
         cov *= cfg.dim / np.trace(cov)  # unit average variance
         offsets = {
             label: cfg.class_spread * rng.standard_normal(cfg.dim) / math.sqrt(cfg.dim)
-            for label in cfg.labels
+            for label in _LABELS
         }
         speakers.append(
             TrueSpeaker(
@@ -168,11 +166,11 @@ def true_measure(
     return evaluate(kind, model_a, model_b, sc_convention=sc_convention)
 
 
-def _sentence_labels(length: int, cfg: SynthCorpusConfig, rng: np.random.Generator):
+def _sentence_labels(length: int, rng: np.random.Generator):
     labels = []
     while len(labels) < length:
-        label = cfg.labels[int(rng.integers(len(cfg.labels)))]
-        run = int(rng.integers(cfg.min_run_frames, cfg.max_run_frames + 1))
+        label = _LABELS[int(rng.integers(len(_LABELS)))]
+        run = int(rng.integers(_MIN_RUN_FRAMES, _MAX_RUN_FRAMES + 1))
         labels.extend([label] * run)
     return labels[:length]
 
@@ -193,7 +191,7 @@ def make_corpus(cfg: SynthCorpusConfig) -> LoadedCorpus:
                     [cfg.seed, _SENTENCE_STREAM, index, sentence_index]
                 )
             )
-            labels = _sentence_labels(length, cfg, rng)
+            labels = _sentence_labels(length, rng)
             frames, track = generate_labeled_frames(
                 speaker,
                 labels,

@@ -543,6 +543,9 @@ class TestExitCodes:
                 "speakers[0].sentences[0] field 'features' is not a string",
             ),
             (lambda doc: {**doc, "seed": "many"}, "'seed' is not an integer"),
+            (lambda doc: {**doc, "seed": 2.7}, "'seed' is not an integer"),
+            (lambda doc: {**doc, "seed": True}, "'seed' is not an integer"),
+            (lambda doc: {**doc, "seed": "3"}, "'seed' is not an integer"),
             (
                 lambda doc: {**doc, "speakers": [{"id": "x", "sentences": [{}]}]},
                 "exactly one of 'features' or 'audio'",
@@ -561,7 +564,8 @@ class TestExitCodes:
         ],
         ids=[
             "empty", "list", "speakers-string", "no-id", "no-sentences", "number-path",
-            "seed", "no-source", "duplicate-id", "empty-id",
+            "seed", "seed-float", "seed-bool", "seed-string", "no-source", "duplicate-id",
+            "empty-id",
         ],
     )
     def test_malformed_manifest_is_data_error(
@@ -586,3 +590,66 @@ class TestExitCodes:
             ["extract", str(wav), "--config", str(config), "--out", str(tmp_path / "o.csv")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ({"hop": 160.0}, "hop must be an integer, got 160.0"),
+            ({"hop": True}, "hop must be an integer, got True"),
+            ({"n_filters": 24.5}, "n_filters must be an integer, got 24.5"),
+        ],
+        ids=["float-hop", "boolean-hop", "float-filters"],
+    )
+    def test_non_integer_frontend_size_is_data_error(self, tmp_path, capsys, doc, named):
+        config = tmp_path / "fc.json"
+        config.write_text(json.dumps(doc))
+        wav = tmp_path / "x.wav"
+        save_wav(wav, np.zeros(8000, dtype=np.int16), 16000)
+        out = tmp_path / "o.csv"
+        assert main(["extract", str(wav), "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            (b'{"seed": "\xe9"}', "can't decode byte 0xe9"),
+            (b'{"seed": 1,', "Expecting property name"),
+            (b"[]", "is not a JSON object"),
+        ],
+        ids=["non-utf8", "truncated", "list"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["eval-phonetic", "--manifest", "{bad}"],
+            ["eval-duration", "--manifest", "{manifest}", "--config", "{bad}"],
+            ["extract", "{wav}", "--config", "{bad}", "--out", "{out}"],
+            ["train", "--manifest", "{manifest}", "--config", "{bad}", "--out", "{out}"],
+            ["eval-phonetic", "--manifest", "{manifest}", "--taxonomy", "{bad}"],
+        ],
+        ids=["manifest", "protocol-config", "extract-config", "train-config", "taxonomy"],
+    )
+    def test_unreadable_document_is_data_error(
+        self, corpus_dir, tmp_path, capsys, command, content, named
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        wav = tmp_path / "x.wav"
+        save_wav(wav, np.zeros(8000, dtype=np.int16), 16000)
+        paths = {
+            "bad": bad, "manifest": corpus_dir / "manifest.json", "wav": wav, "out": tmp_path / "o"
+        }
+        assert main([arg.format(**paths) for arg in command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and named in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", ["--separation", "--class-spread"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_synthetic_spread_is_data_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "c"
+        assert main(["synth-corpus", "--out", str(out), flag, value]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()

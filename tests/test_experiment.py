@@ -219,6 +219,9 @@ def _break_feature_corpus(manifest_path, case):
     if case == "missing-alignment":
         (root / "spk001" / "s000.ali").unlink()
         return root / "spk001" / "s000.ali"
+    if case == "non-utf8-alignment":
+        (root / "spk001" / "s002.ali").write_bytes(b"spk001_s002 a 0 \xe9\n")
+        return root / "spk001" / "s002.ali"
     raise AssertionError(case)
 
 
@@ -228,6 +231,7 @@ _BROKEN_CORPORA = [
     "malformed-last-speaker",
     "missing-features",
     "missing-alignment",
+    "non-utf8-alignment",
 ]
 
 

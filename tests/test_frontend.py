@@ -268,6 +268,12 @@ class TestFrontendConfig:
         with pytest.raises(ConfigurationError):
             FrontendConfig(log_floor=0.0)
 
+    @pytest.mark.parametrize("field", ["frame_len", "hop", "dft_len", "n_filters"])
+    @pytest.mark.parametrize("value", [160.0, True], ids=["float", "bool"])
+    def test_non_integer_sizes_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer, got {value}"):
+            FrontendConfig(**{field: value})
+
     def test_digest_depends_on_values(self):
         assert FrontendConfig().digest() == FrontendConfig().digest()
         assert FrontendConfig().digest() != FrontendConfig(n_filters=20).digest()

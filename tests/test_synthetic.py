@@ -66,8 +66,11 @@ class TestSampleSpeakers:
             SynthCorpusConfig(separation=-1.0)
         with pytest.raises(ConfigurationError):
             SynthCorpusConfig(frame_correlation=1.0)
-        with pytest.raises(ConfigurationError):
-            SynthCorpusConfig(min_run_frames=9, max_run_frames=3)
+        for spread in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="finite"):
+                SynthCorpusConfig(separation=spread)
+            with pytest.raises(ConfigurationError, match="finite"):
+                SynthCorpusConfig(class_spread=spread)
 
 
 class TestGenerateLabeledFrames:
