@@ -30,7 +30,7 @@ from .frontend import (
     load_wav,
     save_features_csv,
 )
-from .gaussian import GaussianModel, load_model_store, save_model_store, stack_blocks
+from .gaussian import load_model_store, save_model_store, stack_blocks
 from .identify import ScoreSheet, SpeakerRegistry, score_matrix, score_sheets_csv
 from .measures import MEASURE_KINDS, MU_G, SC_CONVENTIONS, SC_DECOMPOSITION
 from .phonetic import CLASS_ORDER, default_taxonomy, load_taxonomy
@@ -72,22 +72,25 @@ def _cmd_extract(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _frontend_config(args.config)
     corpus = load_corpus(args.manifest, frontend_config=cfg)
-    limit = None
-    if args.train_seconds is not None:
-        limit = _seconds_to_frames(args.train_seconds)
-    models = {}
-    for speaker_id, sentences in corpus.speakers:
-        frames = [sentence.frames for sentence in sentences]
-        concat = np.concatenate(frames)
-        if limit is not None:
-            if len(concat) < limit:
+    if not corpus.speakers:
+        raise InsufficientDataError(f"{args.manifest}: no speakers to train")
+    limit = None if args.train_seconds is None else _seconds_to_frames(args.train_seconds)
+
+    def speaker_blocks():
+        # one speaker's concatenation alive at a time, as a (1, frames, p) block
+        for speaker_id, sentences in corpus.speakers:
+            if not sentences:
+                raise InsufficientDataError(f"speaker {speaker_id}: no sentences to train on")
+            concat = np.concatenate([sentence.frames for sentence in sentences])
+            if limit is not None and len(concat) < limit:
                 raise InsufficientDataError(
                     f"speaker {speaker_id}: {len(concat)} frames < {limit} needed "
                     f"for {args.train_seconds:g} s training"
                 )
-            concat = concat[:limit]
-        models[speaker_id] = GaussianModel.from_frames(concat)
-    save_model_store(args.out, models, config_hash=cfg.digest())
+            yield concat[None, :limit]
+
+    ids = [speaker_id for speaker_id, _ in corpus.speakers]
+    save_model_store(args.out, ids, stack_blocks(speaker_blocks()), config_hash=cfg.digest())
     return 0
 
 
@@ -95,7 +98,7 @@ def _cmd_identify(args) -> int:
     if args.measure and len(args.measure) > 1:
         raise _UsageError("identify takes a single --measure")
     kind = args.measure[0] if args.measure else MU_G
-    registry = SpeakerRegistry.from_models(load_model_store(args.store))
+    registry = SpeakerRegistry(*load_model_store(args.store))
     sheets = []
     # one stack per file: a stack of several files moves scores in their last bits
     for features_path in args.features:

@@ -24,12 +24,10 @@ percentage.
 from __future__ import annotations
 
 import collections
-import contextlib
 import functools
 import hashlib
 import io
 import json
-import math
 import multiprocessing
 import multiprocessing.connection
 import numbers
@@ -87,12 +85,15 @@ def _check_measures(kinds, sc_convention: str) -> None:
 
 
 def _seconds_to_frames(seconds: float) -> int:
-    """Frames in ``seconds`` of material; a ConfigurationError naming it below 2."""
+    """Frames in ``seconds`` of material; a ConfigurationError naming it below 2 or not finite."""
     if isinstance(seconds, bool) or not isinstance(seconds, numbers.Real):
         raise ConfigurationError(f"duration {seconds!r} is not a number")
-    if not math.isfinite(seconds):
-        raise ConfigurationError(f"duration {seconds:g} s is not a finite number")
-    frames = round(seconds * FRAMES_PER_SECOND)
+    try:
+        frames = round(seconds * FRAMES_PER_SECOND)
+    except (OverflowError, ValueError):
+        raise ConfigurationError(
+            f"duration {seconds:g} s is not a finite number of frames"
+        ) from None
     if frames < 2:
         raise ConfigurationError(
             f"duration {seconds:g} s is {frames} frame(s) at "
@@ -278,20 +279,19 @@ def _outcomes(fn, items: list, conns: list) -> list:
     return outcomes
 
 
-@contextlib.contextmanager
-def _ordered_map(fn, items: list):
-    """An iterator of ``fn(item)`` over ``items``, in order, computed on every usable CPU.
+def _ordered_map(fn, items: list) -> list:
+    """The list of ``fn(item)`` over ``items``, in order, computed on every usable CPU.
 
     With P >= 2 CPUs in ``os.sched_getaffinity`` and as many items, this
     process computes every P-th item itself and P - 1 ``fork``ed workers take
     the others round robin, each sending its outcomes down its own pipe.
-    Each item runs under :func:`_outcome`. Once every outcome is in, they
-    are replayed in item order: an item's warnings are re-emitted, and then
-    its exception raised, when its turn comes, so the warnings the caller
-    sees and the first error it gets are a serial run's.
+    Each item runs under :func:`_outcome`. Once every outcome is in and
+    every worker has exited (or been killed, if collecting failed), they are
+    replayed in item order: an item's warnings are re-emitted, and then its
+    exception raised, when its turn comes, so the warnings the caller sees
+    and the first error it gets are a serial run's.
     Otherwise (one CPU, one item, no ``fork``, or a daemonic process, which
-    may not have children) it is the builtin ``map``. Every worker has
-    exited, or is killed if the body raised, before the context exits.
+    may not have children) it is the builtin ``map``.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     processes = min(cpus, len(items))
@@ -300,8 +300,7 @@ def _ordered_map(fn, items: list):
         or "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
     ):
-        yield map(fn, items)
-        return
+        return list(map(fn, items))
     # fork, not spawn: a spawned worker re-imports numpy and scipy on every run
     ctx = multiprocessing.get_context("fork")
     workers = []
@@ -312,7 +311,7 @@ def _ordered_map(fn, items: list):
             worker.start()
             send_end.close()
             workers.append((worker, recv_end))
-        yield map(_replayed, _outcomes(fn, items, [conn for _, conn in workers]))
+        outcomes = _outcomes(fn, items, [conn for _, conn in workers])
     except BaseException:
         for worker, _ in workers:
             worker.kill()
@@ -321,6 +320,7 @@ def _ordered_map(fn, items: list):
         for worker, conn in workers:
             worker.join()
             conn.close()
+    return [_replayed(outcome) for outcome in outcomes]
 
 
 def load_corpus(
@@ -348,8 +348,7 @@ def load_corpus(
     if refs:
         sentences.append(_read_sentence(base, cfg, None, refs[0]))
         read = functools.partial(_read_sentence, base, cfg, sentences[0].frames.shape[1])
-        with _ordered_map(read, refs[1:]) as rest:
-            sentences.extend(rest)
+        sentences.extend(_ordered_map(read, refs[1:]))
     loaded = iter(sentences)
     speakers = []
     for speaker_id, speaker_refs in manifest.speakers:
@@ -521,10 +520,9 @@ def _report(protocol, axes, seed, digest, cells: list, kinds, sc_convention, min
         _, build = cell
         return _score_cells(*build(), kinds, sc_convention, min_tests)
 
-    with _ordered_map(score, cells) as scored:
-        for (coords, _), by_kind in zip(cells, scored):
-            for kind, cell in by_kind.items():
-                report.cells[(*coords, kind)] = cell
+    for (coords, _), by_kind in zip(cells, _ordered_map(score, cells)):
+        for kind, cell in by_kind.items():
+            report.cells[(*coords, kind)] = cell
     return report
 
 
@@ -656,7 +654,7 @@ def run_phonetic_experiment(
         (speaker_id, concat, _test_segments(speaker_id, placed, train_f, pre_frames, post_frames))
         for speaker_id, concat, placed in _speaker_streams(corpus)
     ]
-    training = SegmentMoments((concat, [train_f]) for _, concat, _ in streams)
+    training = SegmentMoments((concat[:train_f], [train_f]) for _, concat, _ in streams)
     registry = _reference_registry(ids, training, train_f)
 
     def build(selector):

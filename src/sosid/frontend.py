@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import warnings
 import wave
 from dataclasses import asdict, dataclass
@@ -52,6 +54,13 @@ class FrontendConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        for name in ("mel_low", "log_floor") + (() if self.mel_high is None else ("mel_high",)):
+            value = getattr(self, name)
+            # NaN fails both comparisons; a huge integer compares without overflow
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+                -math.inf < value < math.inf
+            ):
+                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
         if self.frame_len < 1:
             raise ConfigurationError(f"frame_len must be >= 1, got {self.frame_len}")
         if self.hop < 1:

@@ -349,67 +349,61 @@ def _concat_moments(moment_sets):
     return np.concatenate(sums), np.concatenate(outers), np.concatenate(counts)
 
 
-def model_to_dict(speaker_id: str, model: GaussianModel, config_hash: str = "") -> dict:
-    """JSON-ready document for one speaker model (covariance row-major)."""
-    return {
-        "id": speaker_id,
-        "count": int(model.count),
-        "mean": model.mean.tolist(),
-        "covariance": model.cov.reshape(-1).tolist(),
-        "frontend_config_hash": config_hash,
-    }
-
-
-def model_from_dict(doc: dict):
-    """Inverse of :func:`model_to_dict`; returns (id, model, config_hash)."""
-    mean = np.asarray(doc["mean"], dtype=float)
-    dim = mean.size
-    cov = np.asarray(doc["covariance"], dtype=float).reshape(dim, dim)
-    model = GaussianModel(mean=mean, cov=cov, count=int(doc["count"]))
-    return doc["id"], model, doc.get("frontend_config_hash", "")
-
-
-def save_model_store(store_dir, models, config_hash: str = "") -> None:
-    """Write one ``<speaker_id>.json`` per model into a store directory.
+def save_model_store(store_dir, ids, stack: ModelStack, config_hash: str = "") -> None:
+    """Write row i of ``stack`` into a store directory as ``<ids[i]>.json``: its id,
+    frame count, mean, row-major covariance and ``config_hash``.
 
     A speaker id with ``/`` or ``\\``, or a leading ``.``, is not a safe file
     name: a SosidError naming it, raised before the directory is made.
     """
-    for speaker_id in models:
+    for speaker_id in ids:
         if "/" in speaker_id or "\\" in speaker_id or speaker_id.startswith("."):
             raise SosidError(f"speaker id {speaker_id!r} is not a safe file name")
     store = Path(store_dir)
     store.mkdir(parents=True, exist_ok=True)
-    for speaker_id, model in models.items():
-        doc = model_to_dict(speaker_id, model, config_hash)
-        path = store / f"{speaker_id}.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+    for speaker_id, mean, cov, count in zip(ids, stack.means, stack.covs, stack.counts):
+        doc = {
+            "id": speaker_id,
+            "count": int(count),
+            "mean": mean.tolist(),
+            "covariance": cov.reshape(-1).tolist(),
+            "frontend_config_hash": config_hash,
+        }
+        (store / f"{speaker_id}.json").write_text(json.dumps(doc), encoding="utf-8")
 
 
-def load_model_store(store_dir) -> dict:
-    """Read every model in a store directory, ordered by speaker id.
+def load_model_store(store_dir) -> tuple:
+    """Speaker ids and one factorized :class:`ModelStack` of a store, ordered by file name.
 
     An empty store, or any document that is not a valid model (bad JSON, a
-    missing key, wrong sizes, non-finite values, count < 1), repeats an
-    earlier document's speaker id or differs from it in dimension, is a
-    SosidError naming the file.
+    missing key, an id that is not a non-empty string, a count that is not
+    an integer >= 1, wrong sizes, non-finite values), repeats an earlier
+    document's speaker id or differs from it in dimension, is a SosidError
+    naming the file.
     """
     store = Path(store_dir)
-    models = {}
+    ids, models = [], []
     for path in sorted(store.glob("*.json")):
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-            speaker_id, model, _ = model_from_dict(doc)
+            speaker_id, count = doc["id"], doc["count"]
+            if not isinstance(speaker_id, str) or not speaker_id:
+                raise ValueError(f"id {speaker_id!r} is not a non-empty string")
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise ValueError(f"count {count!r} is not an integer")
+            mean = np.asarray(doc["mean"], dtype=float)
+            cov = np.asarray(doc["covariance"], dtype=float).reshape(mean.size, mean.size)
+            model = GaussianModel(mean=mean, cov=cov, count=count)
         except (ValueError, KeyError, TypeError) as exc:
             raise SosidError(f"{path}: not a valid speaker model: {exc}") from None
-        if speaker_id in models:
+        if speaker_id in ids:
             raise SosidError(f"{path}: speaker id {speaker_id!r} is already in the store")
-        dim = next(iter(models.values()), model).dim
-        if model.dim != dim:
+        if models and model.dim != models[0].dim:
             raise SosidError(
-                f"{path}: model dimension {model.dim} differs from the store's {dim}"
+                f"{path}: model dimension {model.dim} differs from the store's {models[0].dim}"
             )
-        models[speaker_id] = model
+        ids.append(speaker_id)
+        models.append(model)
     if not models:
         raise SosidError(f"{store}: no speaker models (*.json) in model store")
-    return models
+    return ids, stack_models(models)

@@ -45,11 +45,6 @@ class SpeakerRegistry:
                 f"need one unique speaker id per model: {len(self.ids)} ids for {n_models} models"
             )
 
-    @classmethod
-    def from_models(cls, models) -> "SpeakerRegistry":
-        """Build a registry from an ordered id -> model mapping, factorized as one batch."""
-        return cls(models, stack_models(models.values()) if models else None)
-
     def __len__(self) -> int:
         return len(self.ids)
 

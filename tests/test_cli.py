@@ -7,6 +7,7 @@ import pytest
 from sosid.cli import main
 from sosid.experiment import DurationProtocolConfig
 from sosid.frontend import load_features_csv, save_wav
+from sosid.gaussian import GaussianModel
 from sosid.synthetic import SynthCorpusConfig, write_corpus
 
 
@@ -125,7 +126,13 @@ class TestTrainAndIdentify:
             lambda doc: {k: v for k, v in doc.items() if k != "covariance"},
             lambda doc: {**doc, "covariance": doc["covariance"][:-1]},
             lambda doc: {**doc, "count": 0},
+            lambda doc: {**doc, "count": 2.7},
+            lambda doc: {**doc, "count": True},
+            lambda doc: {**doc, "count": "7"},
+            lambda doc: {**doc, "count": 1e300},
             lambda doc: {**doc, "id": "spk000"},
+            lambda doc: {**doc, "id": 5},
+            lambda doc: {**doc, "id": ""},
             lambda doc: {
                 **doc,
                 "mean": doc["mean"][:-1],
@@ -141,7 +148,13 @@ class TestTrainAndIdentify:
             "missing-key",
             "short-cov",
             "zero-count",
+            "fractional-count",
+            "boolean-count",
+            "string-count",
+            "huge-float-count",
             "duplicate-id",
+            "integer-id",
+            "empty-id",
             "other-dim",
         ],
     )
@@ -153,6 +166,29 @@ class TestTrainAndIdentify:
         features = str(corpus_dir / "spk000" / "s000.csv")
         assert main(["identify", "--store", str(store), features]) == 2
         assert "spk001.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("train_seconds", [[], ["--train-seconds", "15"]], ids=["all", "15s"])
+    def test_stored_models_equal_from_frames_of_each_concatenation(
+        self, corpus_dir, tmp_path, train_seconds
+    ):
+        store = tmp_path / "store"
+        manifest = corpus_dir / "manifest.json"
+        argv = ["train", "--manifest", str(manifest), *train_seconds, "--out", str(store)]
+        assert main(argv) == 0
+        speakers = json.loads(manifest.read_text())["speakers"]
+        assert sorted(p.name for p in store.glob("*.json")) == [f"{s['id']}.json" for s in speakers]
+        for speaker in speakers:
+            concat = np.concatenate(
+                [
+                    load_features_csv(corpus_dir / sentence["features"]).vectors
+                    for sentence in speaker["sentences"]
+                ]
+            )
+            want = GaussianModel.from_frames(concat[:1500] if train_seconds else concat)
+            doc = json.loads((store / f"{speaker['id']}.json").read_text())
+            assert doc["id"] == speaker["id"] and doc["count"] == want.count
+            np.testing.assert_array_equal(doc["mean"], want.mean)
+            np.testing.assert_array_equal(doc["covariance"], want.cov.ravel())
 
     def test_non_finite_features_are_data_error(self, corpus_dir, tmp_path, capsys):
         store = tmp_path / "store"
@@ -377,13 +413,14 @@ class TestExitCodes:
             ({"test_durations": 1.0}, "'test_durations' is not an array"),
             ({"measures": "mu_g"}, "'measures' is not an array"),
             ({"train_durations": ["15"]}, "duration '15' is not a number"),
+            ({"train_durations": [1e307]}, "duration 1e+307 s is not a finite number of frames"),
             ([15, 1], "not a JSON object"),
             ("mu_g", "not a JSON object"),
             (15, "not a JSON object"),
         ],
         ids=[
             "fractional-cap", "boolean-cap", "scalar-train", "scalar-test", "scalar-measures",
-            "string-duration", "array-doc", "string-doc", "number-doc",
+            "string-duration", "overflowing-duration", "array-doc", "string-doc", "number-doc",
         ],
     )
     @pytest.mark.parametrize(
@@ -409,8 +446,12 @@ class TestExitCodes:
             (["--test-frames", "0"], "got 0"),
             (["--test-frames", "-5"], "got -5"),
             (["--min-tests", "-3"], "got -3"),
+            (["--train-seconds", "1e307"], "duration 1e+307 s is not a finite number of frames"),
         ],
-        ids=["negative-train", "one-frame-train", "zero-test", "negative-test", "negative-min"],
+        ids=[
+            "negative-train", "one-frame-train", "zero-test", "negative-test", "negative-min",
+            "overflowing-train",
+        ],
     )
     def test_bad_phonetic_lengths_are_data_errors(self, corpus_dir, capsys, flags, named):
         code = main(["eval-phonetic", "--manifest", str(corpus_dir / "manifest.json"), *flags])
@@ -445,6 +486,30 @@ class TestExitCodes:
         store = tmp_path / "store"
         assert main(["train", "--manifest", str(manifest), "--out", str(store)]) == 2
         assert repr(speaker_id) in capsys.readouterr().err
+        assert not store.exists()
+
+    def test_overflowing_train_seconds_is_data_error(self, corpus_dir, tmp_path, capsys):
+        store = tmp_path / "store"
+        manifest = str(corpus_dir / "manifest.json")
+        argv = ["train", "--manifest", manifest, "--train-seconds", "1e307", "--out", str(store)]
+        assert main(argv) == 2
+        assert "duration 1e+307 s is not a finite number of frames" in capsys.readouterr().err
+        assert not store.exists()
+
+    @pytest.mark.parametrize(
+        "speakers, named",
+        [
+            ([], "no speakers to train"),
+            ([{"id": "a", "sentences": []}], "speaker a: no sentences to train on"),
+        ],
+        ids=["no-speakers", "no-sentences"],
+    )
+    def test_untrainable_manifest_is_data_error(self, tmp_path, capsys, speakers, named):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"seed": 0, "speakers": speakers}))
+        store = tmp_path / "store"
+        assert main(["train", "--manifest", str(manifest), "--out", str(store)]) == 2
+        assert named in capsys.readouterr().err
         assert not store.exists()
 
     def test_train_seconds_beyond_material_is_data_error(self, corpus_dir, tmp_path, capsys):
@@ -597,8 +662,14 @@ class TestExitCodes:
             ({"hop": 160.0}, "hop must be an integer, got 160.0"),
             ({"hop": True}, "hop must be an integer, got True"),
             ({"n_filters": 24.5}, "n_filters must be an integer, got 24.5"),
+            ({"log_floor": True}, "log_floor must be a finite number, got True"),
+            ({"mel_low": False}, "mel_low must be a finite number, got False"),
+            ({"mel_high": "4000"}, "mel_high must be a finite number, got '4000'"),
         ],
-        ids=["float-hop", "boolean-hop", "float-filters"],
+        ids=[
+            "float-hop", "boolean-hop", "float-filters", "boolean-floor", "boolean-low",
+            "string-high",
+        ],
     )
     def test_non_integer_frontend_size_is_data_error(self, tmp_path, capsys, doc, named):
         config = tmp_path / "fc.json"

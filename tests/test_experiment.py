@@ -377,8 +377,9 @@ class TestDurationExperiment:
             ({"test_durations": (0.0,)}, "duration 0 s is 0 frame"),
             ({"test_durations": (math.inf,)}, "duration inf s is not a finite number"),
             ({"train_durations": (math.nan,)}, "duration nan s is not a finite number"),
+            ({"train_durations": (1e307,)}, "duration 1e+307 s is not a finite number of frames"),
         ],
-        ids=["negative", "zero", "inf", "nan"],
+        ids=["negative", "zero", "inf", "nan", "overflow"],
     )
     def test_negative_and_non_finite_durations_rejected(self, durations, named):
         with pytest.raises(ConfigurationError, match=re.escape(named)):

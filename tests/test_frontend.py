@@ -274,6 +274,14 @@ class TestFrontendConfig:
         with pytest.raises(ConfigurationError, match=f"{field} must be an integer, got {value}"):
             FrontendConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["mel_low", "mel_high", "log_floor"])
+    @pytest.mark.parametrize(
+        "value", [True, "1.0", math.nan, math.inf], ids=["bool", "string", "nan", "inf"]
+    )
+    def test_non_real_floats_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be a finite number, got"):
+            FrontendConfig(**{field: value})
+
     def test_digest_depends_on_values(self):
         assert FrontendConfig().digest() == FrontendConfig().digest()
         assert FrontendConfig().digest() != FrontendConfig(n_filters=20).digest()

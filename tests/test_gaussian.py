@@ -13,10 +13,9 @@ from sosid.gaussian import (
     GaussianModel,
     factorize,
     load_model_store,
-    stack_blocks,
-    model_from_dict,
-    model_to_dict,
     save_model_store,
+    stack_blocks,
+    stack_models,
 )
 
 
@@ -264,17 +263,18 @@ class TestStackBlocks:
 
 
 class TestModelStore:
-    def test_dict_round_trip_exact(self):
+    def test_file_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(10)
         model = GaussianModel.from_frames(rng.standard_normal((60, 5)))
-        doc = model_to_dict("alice", model, config_hash="abc123")
-        doc = json.loads(json.dumps(doc))
-        speaker_id, back, config_hash = model_from_dict(doc)
-        assert speaker_id == "alice"
-        assert config_hash == "abc123"
-        assert back.count == model.count
-        np.testing.assert_array_equal(back.mean, model.mean)
-        np.testing.assert_array_equal(back.cov, model.cov)
+        save_model_store(tmp_path / "store", ["alice"], stack_models([model]), "abc123")
+        doc = json.loads((tmp_path / "store" / "alice.json").read_text(encoding="utf-8"))
+        assert doc["id"] == "alice"
+        assert doc["frontend_config_hash"] == "abc123"
+        ids, back = load_model_store(tmp_path / "store")
+        assert ids == ["alice"]
+        assert back.counts[0] == model.count
+        np.testing.assert_array_equal(back.means[0], model.mean)
+        np.testing.assert_array_equal(back.covs[0], model.cov)
 
     def test_store_round_trip_sorted(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -282,15 +282,15 @@ class TestModelStore:
             name: GaussianModel.from_frames(rng.standard_normal((40, 3)))
             for name in ("zoe", "bob", "amy")
         }
-        save_model_store(tmp_path / "store", models, config_hash="h")
-        loaded = load_model_store(tmp_path / "store")
-        assert list(loaded) == ["amy", "bob", "zoe"]
+        save_model_store(tmp_path / "store", list(models), stack_models(models.values()), "h")
+        ids, loaded = load_model_store(tmp_path / "store")
+        assert ids == ["amy", "bob", "zoe"]
         for name, model in models.items():
-            np.testing.assert_array_equal(loaded[name].cov, model.cov)
+            np.testing.assert_array_equal(loaded.covs[ids.index(name)], model.cov)
 
     def test_unsafe_speaker_id_rejected(self, tmp_path):
         rng = np.random.default_rng(12)
         model = GaussianModel.from_frames(rng.standard_normal((40, 3)))
         with pytest.raises(SosidError, match="evil"):
-            save_model_store(tmp_path / "store", {"../evil": model})
+            save_model_store(tmp_path / "store", ["../evil"], stack_models([model]))
         assert not (tmp_path / "store").exists()

@@ -45,12 +45,12 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.register("b", _model([0.0, 0.0], np.eye(2), 10))
 
-    def test_from_models_matches_register_exactly(self):
+    def test_stacked_registry_matches_register_exactly(self):
         rng = np.random.default_rng(3)
         models = {f"spk{i}": _random_model(rng, 6) for i in range(4)}
         v = rng.standard_normal(6)
         models["rank1"] = _model(np.zeros(6), np.outer(v, v), 10)  # needs loading
-        batch = SpeakerRegistry.from_models(models)
+        batch = SpeakerRegistry(models, stack_models(models.values()))
         assert batch.ids == tuple(models)
         assert batch.stack.loadings[batch.ids.index("rank1")] > 0.0
         for row, (speaker_id, model) in enumerate(models.items()):
@@ -67,18 +67,15 @@ class TestRegistry:
         for name in ("means", "covs", "counts", "inverses", "log_dets", "loadings"):
             np.testing.assert_array_equal(getattr(single.stack, name), getattr(batch.stack, name))
 
-    def test_from_models_rejects_non_pd_model(self):
+    def test_stacked_registry_rejects_non_pd_model(self):
         rng = np.random.default_rng(4)
         zero = _model(np.zeros(3), np.zeros((3, 3)), 10)
         models = {"a": _random_model(rng, 3), "zero": zero}
         with pytest.raises(NotPositiveDefiniteError) as batch:
-            SpeakerRegistry.from_models(models)
+            SpeakerRegistry(models, stack_models(models.values()))
         with pytest.raises(NotPositiveDefiniteError) as single:
             factorize(models["zero"])
         assert str(batch.value) == str(single.value)
-
-    def test_from_models_of_nothing_is_empty(self):
-        assert len(SpeakerRegistry.from_models({})) == 0
 
     def test_full_scale_registry(self):
         rng = np.random.default_rng(0)
