@@ -282,6 +282,11 @@ def _outcomes(fn, items: list, conns: list) -> list:
 def _ordered_map(fn, items: list) -> list:
     """The list of ``fn(item)`` over ``items``, in order, computed on every usable CPU.
 
+    It serves :func:`load_corpus`'s sentence reads, both protocols' cells and
+    :func:`sosid.synthetic.write_corpus`'s sentence writes. ``fn`` and the
+    items reach the workers by ``fork``, not by pickling; each outcome comes
+    back pickled, so it should be small (``None``, for a write).
+
     With P >= 2 CPUs in ``os.sched_getaffinity`` and as many items, this
     process computes every P-th item itself and P - 1 ``fork``ed workers take
     the others round robin, each sending its outcomes down its own pipe.

@@ -270,9 +270,24 @@ def extract_features(buf: SampleBuffer, cfg: FrontendConfig = FrontendConfig()) 
 
 
 def save_features_csv(frames, path) -> None:
-    """Dump features as headerless CSV, one frame per row, full precision."""
+    """Dump features as headerless CSV, one frame per row, full precision.
+
+    The bytes are those of ``np.savetxt(path, vectors, fmt="%.17g",
+    delimiter=",")``, a 1-D array giving one value per line as there, but
+    the whole table is formatted by one ``%`` of a repeated row template,
+    and the file is plain CSV whatever its suffix (``savetxt`` gzips a
+    ``.gz`` path, which :func:`load_features_csv` cannot read). An array of
+    any other dimension is a ValueError.
+    """
     vectors = frames.vectors if isinstance(frames, SpectralFrames) else np.asarray(frames)
-    np.savetxt(path, vectors, fmt="%.17g", delimiter=",")
+    if vectors.ndim == 1:
+        vectors = vectors[:, None]
+    elif vectors.ndim != 2:
+        raise ValueError(f"features must be a 1-D or 2-D array, got {vectors.ndim}-D")
+    row = ",".join(["%.17g"] * vectors.shape[1]) + "\n"
+    text = (row * len(vectors)) % tuple(vectors.ravel().tolist())
+    with open(path, "wb") as handle:
+        handle.write(text.encode("ascii"))
 
 
 def load_features_csv(path) -> SpectralFrames:

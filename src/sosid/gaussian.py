@@ -379,11 +379,13 @@ def load_model_store(store_dir) -> tuple:
     missing key, an id that is not a non-empty string, a count that is not
     an integer >= 1, wrong sizes, non-finite values), repeats an earlier
     document's speaker id or differs from it in dimension, is a SosidError
-    naming the file.
+    naming the file. So is the first covariance that does not factorize,
+    which is looked for only once the one batch has failed.
     """
     store = Path(store_dir)
+    paths = sorted(store.glob("*.json"))
     ids, models = [], []
-    for path in sorted(store.glob("*.json")):
+    for path in paths:
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
             speaker_id, count = doc["id"], doc["count"]
@@ -406,4 +408,12 @@ def load_model_store(store_dir) -> tuple:
         models.append(model)
     if not models:
         raise SosidError(f"{store}: no speaker models (*.json) in model store")
-    return ids, stack_models(models)
+    try:
+        return ids, stack_models(models)
+    except NotPositiveDefiniteError:
+        for path, speaker_id, model in zip(paths, ids, models):
+            try:
+                stack_models([model])
+            except NotPositiveDefiniteError as exc:
+                raise SosidError(f"{path}: speaker {speaker_id!r}: {exc}") from None
+        raise

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.signal
 
 from .errors import ConfigurationError
-from .experiment import LoadedCorpus, LoadedSentence
+from .experiment import LoadedCorpus, LoadedSentence, _ordered_map
 from .frontend import SpectralFrames, save_features_csv
 from .gaussian import GaussianModel
 from .measures import SC_DECOMPOSITION, evaluate
@@ -204,34 +204,41 @@ def make_corpus(cfg: SynthCorpusConfig) -> LoadedCorpus:
     return LoadedCorpus(speakers=tuple(corpus_speakers), seed=cfg.seed)
 
 
+def _write_sentence(job) -> None:
+    """Write one sentence of :func:`write_corpus`: ``job`` is (its ``.csv`` path, the sentence)."""
+    csv_path, sentence = job
+    save_features_csv(sentence.frames, csv_path)
+    csv_path.with_suffix(".ali").write_text(format_alignment(sentence.alignment), encoding="utf-8")
+
+
 def write_corpus(cfg: SynthCorpusConfig, out_dir) -> Path:
     """Write a synthetic corpus to disk and return the manifest path.
 
     Layout: one directory per speaker holding feature CSVs and alignment
     files, plus a manifest.json at the root that the harness and the CLI
     consume directly.
+
+    The corpus is generated here, and the speaker directories are made
+    here, in order; the sentence files are then written on every CPU this
+    process may use, as :func:`~sosid.experiment.load_corpus` reads them,
+    and the manifest last. There is no option: every file's bytes, and the
+    first error raised, are those of a serial write in manifest order, and
+    no worker outlives the call. ``taskset -c 0`` gives a serial write.
     """
     corpus = make_corpus(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {"seed": cfg.seed, "speakers": []}
+    jobs = []
     for speaker_id, sentences in corpus.speakers:
-        speaker_dir = out / speaker_id
-        speaker_dir.mkdir(exist_ok=True)
+        (out / speaker_id).mkdir(exist_ok=True)
         entries = []
         for sentence_index, sentence in enumerate(sentences):
-            stem = f"s{sentence_index:03d}"
-            save_features_csv(sentence.frames, speaker_dir / f"{stem}.csv")
-            (speaker_dir / f"{stem}.ali").write_text(
-                format_alignment(sentence.alignment), encoding="utf-8"
-            )
-            entries.append(
-                {
-                    "features": f"{speaker_id}/{stem}.csv",
-                    "alignment": f"{speaker_id}/{stem}.ali",
-                }
-            )
+            stem = f"{speaker_id}/s{sentence_index:03d}"
+            jobs.append((out / f"{stem}.csv", sentence))
+            entries.append({"features": f"{stem}.csv", "alignment": f"{stem}.ali"})
         manifest["speakers"].append({"id": speaker_id, "sentences": entries})
+    _ordered_map(_write_sentence, jobs)
     manifest_path = out / "manifest.json"
     manifest_path.write_text(
         json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"

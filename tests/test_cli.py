@@ -60,6 +60,19 @@ class TestExtract:
         assert feats.vectors.shape == (97, 24)
         assert np.all(feats.vectors >= math.log(1e-10))
 
+    def test_gz_suffix_writes_plain_csv_that_identify_reads(self, tmp_path, capsys):
+        cfg = SynthCorpusConfig(n_speakers=2, frames_per_speaker=400, sentence_len_frames=200)
+        manifest = write_corpus(cfg, tmp_path / "corpus")
+        store = tmp_path / "store"
+        assert main(["train", "--manifest", str(manifest), "--out", str(store)]) == 0
+        wav = tmp_path / "noise.wav"
+        save_wav(wav, np.random.default_rng(3).normal(0, 2000, 16000), 16000)
+        out = tmp_path / "noise.csv.gz"
+        assert main(["extract", str(wav), "--out", str(out)]) == 0
+        assert load_features_csv(out).vectors.shape == (97, 24)
+        assert main(["identify", "--store", str(store), str(out)]) == 0
+        assert capsys.readouterr().out.startswith("test_id,decision,spk000,spk001\nnoise.csv,")
+
     def test_missing_wav_is_data_error(self, tmp_path):
         code = main(["extract", str(tmp_path / "nope.wav"), "--out", str(tmp_path / "x.csv")])
         assert code == 2
@@ -166,6 +179,17 @@ class TestTrainAndIdentify:
         features = str(corpus_dir / "spk000" / "s000.csv")
         assert main(["identify", "--store", str(store), features]) == 2
         assert "spk001.json" in capsys.readouterr().err
+
+    def test_covariance_that_does_not_factorize_names_its_file(self, corpus_dir, tmp_path, capsys):
+        store = tmp_path / "store"
+        main(["train", "--manifest", str(corpus_dir / "manifest.json"), "--out", str(store)])
+        path = store / "spk001.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "covariance": [0.0] * len(doc["covariance"])}))
+        features = str(corpus_dir / "spk000" / "s000.csv")
+        assert main(["identify", "--store", str(store), features]) == 2
+        reason = "covariance of dimension 6 is not positive definite"
+        assert capsys.readouterr().err == f"error: {path}: speaker 'spk001': {reason}\n"
 
     @pytest.mark.parametrize("train_seconds", [[], ["--train-seconds", "15"]], ids=["all", "15s"])
     def test_stored_models_equal_from_frames_of_each_concatenation(

@@ -240,8 +240,8 @@ class TestLoadCorpusWorkers:
 
     @pytest.mark.parametrize("make", [_feature_corpus, _wav_corpus], ids=["csv", "wav"])
     def test_workers_equal_one_cpu_bit_for_bit(self, tmp_path, cpus, make):
-        manifest = make(tmp_path)
         forks = cpus(1)
+        manifest = make(tmp_path)
         serial = load_corpus(manifest)
         assert forks == []
         cpus(2)
@@ -283,6 +283,7 @@ class TestLoadCorpusWorkers:
         assert multiprocessing.active_children() == []
 
     def test_reads_in_process_in_a_daemonic_process(self, tmp_path, cpus):
+        cpus(1)
         manifest = _feature_corpus(tmp_path)
         forks = cpus(2)
         want = _corpus_digest(manifest)
@@ -291,6 +292,47 @@ class TestLoadCorpusWorkers:
         with multiprocessing.get_context("fork").Pool(1) as pool:
             assert pool.apply(_corpus_digest, (str(manifest),)) == want
         assert multiprocessing.active_children() == []
+
+
+def _tree(root) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestWriteCorpusWorkers:
+    """write_corpus writes on worker processes and still equals a serial write."""
+
+    def test_workers_equal_one_cpu_byte_for_byte(self, tmp_path, cpus):
+        trees = []
+        for n in (1, 2):
+            forks = cpus(n)
+            forks.clear()
+            manifest = _feature_corpus(tmp_path / str(n))
+            assert forks == ([] if n == 1 else ["fork"])
+            assert multiprocessing.active_children() == []
+            trees.append(_tree(manifest.parent))
+        assert len(trees[0]) == 25 and trees[0] == trees[1]
+
+    def test_first_error_equals_the_serial_one(self, tmp_path, cpus, capsys):
+        # item 6 falls to the worker and item 9 to this process when there are 2 CPUs
+        blocked = ["spk001/s002.csv", "spk002/s001.csv"]
+        raised, messages = [], []
+        for n in (1, 2):
+            cpus(n)
+            for root in (tmp_path / f"{n}-api", tmp_path / f"{n}-cli"):
+                for name in blocked:
+                    (root / "corpus" / name).mkdir(parents=True)
+            with pytest.raises(IsADirectoryError) as info:
+                _feature_corpus(tmp_path / f"{n}-api")
+            raised.append(str(info.value).replace(f"{n}-api", "*"))
+            argv = ["synth-corpus", "--out", str(tmp_path / f"{n}-cli" / "corpus"), "--seed", "5"]
+            argv += ["--speakers", "3", "--dim", "4", "--frames-per-speaker", "400"]
+            assert main([*argv, "--sentence-frames", "100"]) == 2
+            messages.append(capsys.readouterr().err.replace(f"{n}-cli", "*"))
+            assert multiprocessing.active_children() == []
+            assert not (tmp_path / f"{n}-api" / "corpus" / "manifest.json").exists()
+        assert raised[0] == raised[1]
+        assert str(tmp_path / "*" / "corpus" / blocked[0]) in raised[0]
+        assert messages[0] == messages[1] == f"error: {raised[0]}\n"
 
 
 def _easy_corpus(n_speakers=2, frames=2600, seed=0, separation=8.0):

@@ -358,6 +358,37 @@ class TestExtractFeatures:
             load_features_csv(path)
 
 
+def _savetxt_table():
+    table = np.random.default_rng(17).standard_normal((7, 5)) * 1e3
+    table[0, :] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+    table[1, 2] = 1e300
+    return table
+
+
+class TestSaveFeaturesCsv:
+    """The one-format writer against the np.savetxt call it replaces."""
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            _savetxt_table(),
+            np.linspace(-1.0, 1.0, 9),
+            np.array([[0.1, -2.5e-17, 3.0]]),
+            np.arange(-6, 6).reshape(4, 3),
+        ],
+        ids=["specials", "1-D", "one-row", "integers"],
+    )
+    def test_bytes_equal_savetxt(self, tmp_path, array):
+        np.savetxt(tmp_path / "want.csv", array, fmt="%.17g", delimiter=",")
+        save_features_csv(array, tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_three_dimensions_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            save_features_csv(np.zeros((2, 3, 4)), tmp_path / "cube.csv")
+        assert not (tmp_path / "cube.csv").exists()
+
+
 def _pipeline_oracle(samples, rate, cfg):
     """Independent loop-based reimplementation of the whole front end."""
     n = len(samples)
