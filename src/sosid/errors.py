@@ -7,7 +7,6 @@ Dimension mismatches and other caller mistakes raise plain ``ValueError``.
 
 import contextlib
 import json
-from pathlib import Path
 
 
 class SosidError(Exception):
@@ -51,12 +50,17 @@ def json_document(path, kind: str, error: type = ConfigurationError):
     """Yield the JSON object in the UTF-8 file at ``path``, for the caller to build from.
 
     A ValueError (not UTF-8, not JSON), TypeError (an unknown keyword, say) or
-    ``error`` raised in reading it or in the ``with`` body is an ``error`` naming the file.
+    ``error`` raised in reading it or in the ``with`` body is an ``error`` naming the file,
+    and so is a KeyError, naming the missing key as well.
     """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        # open(), not Path(): Path interns the name's parts; store loads churned that table
+        with open(path, encoding="utf-8") as file:
+            doc = json.loads(file.read())
         if not isinstance(doc, dict):
             raise error(f"{kind} is not a JSON object")
         yield doc
     except (ValueError, TypeError, error) as exc:
         raise error(f"{path}: {exc}") from None
+    except KeyError as exc:
+        raise error(f"{path}: {kind} has no key {exc}") from None

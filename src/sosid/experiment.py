@@ -605,9 +605,13 @@ def _test_segments(speaker_id, placed, train_f: int, pre_frames: int, post_frame
             raise AlignmentError(
                 f"speaker {speaker_id}: a sentence in the test region has no alignment"
             )
-        for label, start, end in expand_kernels(
-            sentence.alignment, pre_frames, post_frames, track_len=length
-        ):
+        try:
+            kernels = expand_kernels(sentence.alignment, pre_frames, post_frames, track_len=length)
+        except AlignmentError as exc:
+            raise AlignmentError(
+                f"speaker {speaker_id}, sentence {sentence.alignment.sentence_id}: {exc}"
+            ) from None
+        for label, start, end in kernels:
             # segments straddling the training boundary are clipped so no
             # training frame can reach a test
             start = max(start + offset, train_f)

@@ -152,8 +152,6 @@ def load_wav(path) -> SampleBuffer:
                 )
             rate = wav.getframerate()
             raw = wav.readframes(wav.getnframes())
-    except AudioFormatError:
-        raise
     except (wave.Error, EOFError, OSError) as exc:
         raise AudioFormatError(f"{path}: not a readable PCM WAV file ({exc})") from exc
     samples = np.frombuffer(raw, dtype="<i2")

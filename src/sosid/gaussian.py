@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateModelError, NotPositiveDefiniteError, SosidError
+from .errors import DegenerateModelError, NotPositiveDefiniteError, SosidError, json_document
 
 # Relative size of the diagonal loading applied when a covariance estimated
 # from short material fails to factorize: lambda = scale * trace(cov) / p.
@@ -105,10 +105,6 @@ class SpdFactorization:
     log_det: float
     inverse: np.ndarray
     loading: float = 0.0
-
-    @property
-    def dim(self) -> int:
-        return self.factor.shape[0]
 
 
 def factorize(model) -> SpdFactorization:
@@ -354,12 +350,19 @@ def save_model_store(store_dir, ids, stack: ModelStack, config_hash: str = "") -
     frame count, mean, row-major covariance and ``config_hash``.
 
     A speaker id with ``/`` or ``\\``, or a leading ``.``, is not a safe file
-    name: a SosidError naming it, raised before the directory is made.
+    name, and a ``*.json`` in the directory that is not one of ``ids``'s
+    documents would be read back as a speaker: either is a SosidError naming
+    it, raised before anything is written.
     """
     for speaker_id in ids:
         if "/" in speaker_id or "\\" in speaker_id or speaker_id.startswith("."):
             raise SosidError(f"speaker id {speaker_id!r} is not a safe file name")
     store = Path(store_dir)
+    for path in sorted(store.glob("*.json")):
+        if path.stem not in ids:
+            raise SosidError(
+                f"{path}: not one of the speakers being trained; train into an empty directory"
+            )
     store.mkdir(parents=True, exist_ok=True)
     for speaker_id, mean, cov, count in zip(ids, stack.means, stack.covs, stack.counts):
         doc = {
@@ -375,45 +378,40 @@ def save_model_store(store_dir, ids, stack: ModelStack, config_hash: str = "") -
 def load_model_store(store_dir) -> tuple:
     """Speaker ids and one factorized :class:`ModelStack` of a store, ordered by file name.
 
-    An empty store, or any document that is not a valid model (bad JSON, a
-    missing key, an id that is not a non-empty string, a count that is not
-    an integer >= 1, wrong sizes, non-finite values), repeats an earlier
-    document's speaker id or differs from it in dimension, is a SosidError
-    naming the file. So is the first covariance that does not factorize,
-    which is looked for only once the one batch has failed.
+    A document's speaker is its file name, as :func:`save_model_store` writes
+    it. An empty store, or any document that is not a valid model (bad JSON,
+    a missing key, an ``id`` other than its file name, a count that is not an
+    integer >= 1, wrong sizes, non-finite values) or differs from the first in
+    dimension, is a SosidError naming the file. So is the first covariance
+    that does not factorize, which is looked for only once the one batch has
+    failed.
     """
     store = Path(store_dir)
     paths = sorted(store.glob("*.json"))
-    ids, models = [], []
+    models = []
     for path in paths:
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            speaker_id, count = doc["id"], doc["count"]
-            if not isinstance(speaker_id, str) or not speaker_id:
-                raise ValueError(f"id {speaker_id!r} is not a non-empty string")
+        with json_document(path, "speaker model", SosidError) as doc:
+            if doc["id"] != path.stem:
+                raise ValueError(f"id {doc['id']!r} does not match the file name {path.name!r}")
+            count = doc["count"]
             if isinstance(count, bool) or not isinstance(count, int):
                 raise ValueError(f"count {count!r} is not an integer")
             mean = np.asarray(doc["mean"], dtype=float)
             cov = np.asarray(doc["covariance"], dtype=float).reshape(mean.size, mean.size)
-            model = GaussianModel(mean=mean, cov=cov, count=count)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise SosidError(f"{path}: not a valid speaker model: {exc}") from None
-        if speaker_id in ids:
-            raise SosidError(f"{path}: speaker id {speaker_id!r} is already in the store")
-        if models and model.dim != models[0].dim:
-            raise SosidError(
-                f"{path}: model dimension {model.dim} differs from the store's {models[0].dim}"
-            )
-        ids.append(speaker_id)
-        models.append(model)
+            models.append(GaussianModel(mean=mean, cov=cov, count=count))
+            if models[-1].dim != models[0].dim:
+                raise ValueError(
+                    f"model dimension {models[-1].dim} differs from the store's {models[0].dim}"
+                )
     if not models:
         raise SosidError(f"{store}: no speaker models (*.json) in model store")
+    ids = [path.stem for path in paths]
     try:
         return ids, stack_models(models)
     except NotPositiveDefiniteError:
-        for path, speaker_id, model in zip(paths, ids, models):
+        for path, model in zip(paths, models):
             try:
                 stack_models([model])
             except NotPositiveDefiniteError as exc:
-                raise SosidError(f"{path}: speaker {speaker_id!r}: {exc}") from None
+                raise SosidError(f"{path}: speaker {path.stem!r}: {exc}") from None
         raise

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import GaussianModel, ModelStack, stack_models
-from .measures import MU_G, SC_DECOMPOSITION, measure_matrix
+from .measures import MU_G, SC_DECOMPOSITION, measure_matrices
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def score_matrix(
     """(n_tests, n_speakers) matrix of measure values against a registry."""
     if len(registry) == 0:
         raise ValueError("cannot score against an empty registry")
-    return measure_matrix(kind, registry.stack, tests, sc_convention)
+    return measure_matrices((kind,), registry.stack, tests, sc_convention)[kind]
 
 
 def decisions_from_scores(registry: SpeakerRegistry, values: np.ndarray) -> list:

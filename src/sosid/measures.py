@@ -27,9 +27,8 @@ only so both readings can be compared on unbalanced counts.
 The formulas exist once, in :func:`measure_matrices`, which scores every
 test of one :class:`ModelStack` against every reference of another for
 any set of measures, computing the traces and the log-det ratio they
-share once. :func:`measure_matrix` is its one-kind view, and the scalar
-functions (:func:`evaluate`, :func:`mu_g`, :func:`mu_gc`, :func:`mu_sc`)
-are one-row views of that.
+share once. The scalar functions (:func:`evaluate`, :func:`mu_g`,
+:func:`mu_gc`, :func:`mu_sc`) are one-row, one-kind views of it.
 """
 
 from __future__ import annotations
@@ -120,16 +119,6 @@ def _mean_term(a, b, refs: ModelStack, tests: ModelStack) -> np.ndarray:
     return (a * quad_ref + b * quad_test) / p
 
 
-def measure_matrix(
-    kind: str,
-    refs: ModelStack,
-    tests: ModelStack,
-    sc_convention: str = SC_DECOMPOSITION,
-) -> np.ndarray:
-    """(n_tests, n_refs) matrix of one measure over every test/reference pair."""
-    return measure_matrices((kind,), refs, tests, sc_convention)[kind]
-
-
 def evaluate(
     kind: str,
     ref: GaussianModel,
@@ -138,7 +127,7 @@ def evaluate(
 ) -> float:
     """One measure ("mu_g" | "mu_gc" | "mu_sc") of a single pair."""
     refs, tests = stack_models([ref]), stack_models([test])
-    return float(measure_matrix(kind, refs, tests, sc_convention)[0, 0])
+    return float(measure_matrices((kind,), refs, tests, sc_convention)[kind][0, 0])
 
 
 def mu_gc(ref: GaussianModel, test: GaussianModel) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -190,6 +191,50 @@ class TestTrainAndIdentify:
         assert main(["identify", "--store", str(store), features]) == 2
         reason = "covariance of dimension 6 is not positive definite"
         assert capsys.readouterr().err == f"error: {path}: speaker 'spk001': {reason}\n"
+
+    def test_missing_key_names_the_file_and_the_key(self, corpus_dir, tmp_path, capsys):
+        store = tmp_path / "store"
+        main(["train", "--manifest", str(corpus_dir / "manifest.json"), "--out", str(store)])
+        path = store / "spk001.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({k: v for k, v in doc.items() if k != "mean"}))
+        features = str(corpus_dir / "spk000" / "s000.csv")
+        assert main(["identify", "--store", str(store), features]) == 2
+        assert capsys.readouterr().err == f"error: {path}: speaker model has no key 'mean'\n"
+
+    def test_renamed_document_is_data_error(self, corpus_dir, tmp_path, capsys):
+        store = tmp_path / "store"
+        main(["train", "--manifest", str(corpus_dir / "manifest.json"), "--out", str(store)])
+        (store / "spk001.json").rename(store / "zzz.json")
+        features = str(corpus_dir / "spk000" / "s000.csv")
+        assert main(["identify", "--store", str(store), features]) == 2
+        err = capsys.readouterr().err
+        assert "zzz.json" in err and "'spk001'" in err
+
+    def test_training_other_speakers_into_a_store_is_data_error(self, tmp_path, capsys):
+        sizes = ["--dim", "4", "--frames-per-speaker", "400", "--sentence-frames", "200"]
+        store = tmp_path / "store"
+
+        def synth_and_train(name, flags):
+            corpus = tmp_path / name
+            assert main(["synth-corpus", "--out", str(corpus), *flags, *sizes]) == 0
+            capsys.readouterr()
+            return main(["train", "--manifest", str(corpus / "manifest.json"), "--out", str(store)])
+
+        assert synth_and_train("three", ["--speakers", "3"]) == 0
+        before = {path.name: path.read_bytes() for path in store.iterdir()}
+        assert synth_and_train("two", ["--speakers", "2", "--seed", "5"]) == 2
+        assert "spk002.json" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in store.iterdir()} == before
+        assert sorted(before) == ["spk000.json", "spk001.json", "spk002.json"]
+
+    def test_retraining_the_same_speakers_overwrites_their_documents(self, corpus_dir, tmp_path):
+        store = tmp_path / "store"
+        argv = ["train", "--manifest", str(corpus_dir / "manifest.json"), "--out", str(store)]
+        assert main(argv) == 0
+        first = {path.name: path.read_bytes() for path in store.iterdir()}
+        assert main(argv) == 0
+        assert {path.name: path.read_bytes() for path in store.iterdir()} == first
 
     @pytest.mark.parametrize("train_seconds", [[], ["--train-seconds", "15"]], ids=["all", "15s"])
     def test_stored_models_equal_from_frames_of_each_concatenation(
@@ -481,6 +526,27 @@ class TestExitCodes:
         code = main(["eval-phonetic", "--manifest", str(corpus_dir / "manifest.json"), *flags])
         assert code == 2
         assert named in capsys.readouterr().err
+
+    def test_kernel_past_its_track_names_speaker_and_sentence(self, tmp_path, capsys):
+        cfg = SynthCorpusConfig(
+            n_speakers=2, dim=4, frames_per_speaker=400, sentence_len_frames=200
+        )
+        manifest = write_corpus(cfg, tmp_path / "corpus")
+        # every sentence of spk001 ends with a kernel 3 frames past its 200 frames
+        for ali in sorted((tmp_path / "corpus" / "spk001").glob("*.ali")):
+            lines = ali.read_text().splitlines()
+            sentence_id, label, start, end = lines[-1].split()
+            lines[-1] = f"{sentence_id} {label} {start} {int(end) + 3}"
+            ali.write_text("\n".join(lines) + "\n")
+        argv = ["eval-phonetic", "--manifest", str(manifest), "--selectors", "All"]
+        argv += ["--min-tests", "0", "--train-seconds", "2", "--test-frames", "50"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: speaker spk001, sentence spk001_s00\d: kernel \[\d+, 202\] "
+            r"exceeds track length 200\n",
+            err,
+        ), err
 
     @pytest.mark.parametrize("seconds", ["-1", "0", "0.01"])
     def test_train_seconds_under_two_frames_is_data_error(

@@ -15,7 +15,6 @@ from sosid.measures import (
     SC_DECOMPOSITION,
     evaluate,
     measure_matrices,
-    measure_matrix,
     mu_g,
     mu_gc,
     mu_sc,
@@ -212,16 +211,16 @@ class TestMeasureMatrix:
         rng = np.random.default_rng(6)
         refs = stack_models([_random_pair(rng, 4)[0] for _ in range(3)])
         tests = stack_blocks([np.empty((0, 50, 4))])
-        assert measure_matrix(kind, refs, tests).shape == (0, 3)
+        assert measure_matrices((kind,), refs, tests)[kind].shape == (0, 3)
 
     @pytest.mark.parametrize("kind", MEASURE_KINDS)
     def test_rows_past_the_mean_term_chunk_match_one_row_calls(self, kind):
         rng = np.random.default_rng(7)
         refs = stack_models([_random_pair(rng, 5)[0] for _ in range(4)])
         tests = [_random_pair(rng, 5)[1] for _ in range(2 * _QUAD_CHUNK + 3)]
-        matrix = measure_matrix(kind, refs, stack_models(tests))
+        matrix = measure_matrices((kind,), refs, stack_models(tests))[kind]
         for t, test in enumerate(tests):
-            row = measure_matrix(kind, refs, stack_models([test]))[0]
+            row = measure_matrices((kind,), refs, stack_models([test]))[kind][0]
             np.testing.assert_allclose(matrix[t], row, rtol=1e-12, atol=1e-12)
 
 
@@ -245,7 +244,8 @@ class TestMeasureMatrices:
         matrices = measure_matrices(kinds, refs, tests, convention)
         assert tuple(matrices) == kinds
         for kind, values in matrices.items():
-            assert np.array_equal(values, measure_matrix(kind, refs, tests, convention))
+            one_kind = measure_matrices((kind,), refs, tests, convention)[kind]
+            assert np.array_equal(values, one_kind)
         if MU_G in matrices and MU_GC in matrices:
             assert not np.shares_memory(matrices[MU_G], matrices[MU_GC])
 
