@@ -8,17 +8,21 @@ generator, selector choice visibly moves accuracy.
 """
 
 from sosid import (
+    PhoneticProtocolConfig,
     SynthCorpusConfig,
-    default_taxonomy,
     emit_report,
     make_corpus,
     run_phonetic_experiment,
 )
 
-taxonomy = default_taxonomy()
+protocol = PhoneticProtocolConfig(
+    selectors=("All", "Vowels", "OralVowels", "Consonants", "NasalConsonants",
+               "StopConsonants", "Fricatives", "m"),
+    min_tests=40,
+)
 print("shipped phoneme classes:")
 for name in ("Vowels", "NasalConsonants", "Fricatives", "LiquidsGlides"):
-    members = ", ".join(sorted(taxonomy.classes[name])) or "(empty, extend via JSON)"
+    members = ", ".join(sorted(protocol.taxonomy.classes[name])) or "(empty, extend via JSON)"
     print(f"  {name:18s} {members}")
 
 corpus = make_corpus(
@@ -34,13 +38,7 @@ corpus = make_corpus(
     )
 )
 
-report = run_phonetic_experiment(
-    corpus,
-    taxonomy=taxonomy,
-    selectors=("All", "Vowels", "OralVowels", "Consonants", "NasalConsonants",
-               "StopConsonants", "Fricatives", "m"),
-    min_tests=40,
-)
+report = run_phonetic_experiment(corpus, protocol)
 print()
 print(emit_report(report, "markdown"))
-print("cells marked * have fewer tests than the configured minimum of 40")
+print(f"cells marked * have fewer tests than the configured minimum of {protocol.min_tests}")

@@ -73,6 +73,7 @@ from .experiment import (
     ExperimentReport,
     LoadedCorpus,
     LoadedSentence,
+    PhoneticProtocolConfig,
     ReportCell,
     compute_metrics,
     emit_report,

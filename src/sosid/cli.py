@@ -13,9 +13,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, InsufficientDataError, SosidError, json_document
+from .errors import (
+    ConfigurationError,
+    DegenerateModelError,
+    InsufficientDataError,
+    SosidError,
+    json_document,
+)
 from .experiment import (
     DurationProtocolConfig,
+    PhoneticProtocolConfig,
     _seconds_to_frames,
     emit_report,
     load_corpus,
@@ -108,7 +115,10 @@ def _cmd_identify(args) -> int:
                 f"{features_path}: feature dimension {vectors.shape[1]} "
                 f"differs from the store's {registry.dim}"
             )
-        tests = stack_blocks([vectors[None]])
+        try:
+            tests = stack_blocks([vectors[None]])
+        except DegenerateModelError as exc:
+            raise DegenerateModelError(f"{features_path}: {exc}") from None
         values = score_matrix(registry, tests, kind, args.sc_convention or SC_DECOMPOSITION)
         sheets.append(ScoreSheet.from_row(Path(features_path).stem, registry.ids, values[0]))
     _write_or_print(score_sheets_csv(sheets), args.out)
@@ -148,20 +158,16 @@ def _cmd_eval_duration(args) -> int:
 
 
 def _cmd_eval_phonetic(args) -> int:
-    corpus = _load_eval_corpus(args)
-    taxonomy = load_taxonomy(args.taxonomy) if args.taxonomy else default_taxonomy()
-    selectors = args.selectors.split(",") if args.selectors else None
-    kinds = tuple(args.measure) if args.measure else MEASURE_KINDS
-    report = run_phonetic_experiment(
-        corpus,
-        taxonomy=taxonomy,
-        selectors=selectors,
-        kinds=kinds,
+    cfg = PhoneticProtocolConfig(
+        taxonomy=load_taxonomy(args.taxonomy) if args.taxonomy else default_taxonomy(),
+        selectors=tuple(args.selectors.split(",")) if args.selectors else CLASS_ORDER,
+        measures=tuple(args.measure or MEASURE_KINDS),
         train_seconds=args.train_seconds,
         test_len=args.test_frames,
         min_tests=args.min_tests,
         sc_convention=args.sc_convention or SC_DECOMPOSITION,
     )
+    report = run_phonetic_experiment(_load_eval_corpus(args), cfg)
     _write_or_print(emit_report(report, args.format), args.out)
     return 0
 

@@ -34,7 +34,7 @@ import numbers
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +82,10 @@ def _check_measures(kinds, sc_convention: str) -> None:
         raise ConfigurationError(f"unknown measures: {sorted(unknown)}")
     if sc_convention not in SC_CONVENTIONS:
         raise ConfigurationError(f"unknown mu_sc convention {sc_convention!r}")
+
+
+def _ordered_measures(requested) -> tuple:
+    return tuple(kind for kind in MEASURE_KINDS if kind in requested)
 
 
 def _seconds_to_frames(seconds: float) -> int:
@@ -397,6 +401,58 @@ class DurationProtocolConfig:
 
 
 @dataclass(frozen=True)
+class PhoneticProtocolConfig:
+    """Selectors, measures, training seconds and test and kernel-widening frames."""
+
+    taxonomy: PhonemeClassTaxonomy = field(default_factory=default_taxonomy)
+    selectors: tuple = CLASS_ORDER
+    measures: tuple = MEASURE_KINDS
+    train_seconds: float = 15.0
+    test_len: int = 100
+    min_tests: int = 40
+    sc_convention: str = SC_DECOMPOSITION
+    pre_frames: int = DEFAULT_PRE_FRAMES
+    post_frames: int = DEFAULT_POST_FRAMES
+
+    def __post_init__(self):
+        _seconds_to_frames(self.train_seconds)
+        for name in ("test_len", "min_tests", "pre_frames", "post_frames"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        if self.test_len < 2:
+            raise ConfigurationError(f"test length must be at least 2 frames, got {self.test_len}")
+        if self.min_tests < 0:
+            raise ConfigurationError(f"min_tests must be >= 0, got {self.min_tests}")
+        if self.pre_frames < 0 or self.post_frames < 0:
+            raise ConfigurationError(
+                "kernel widening must be >= 0 frames, "
+                f"got pre {self.pre_frames}, post {self.post_frames}"
+            )
+        _check_measures(self.measures, self.sc_convention)
+        if not self.selectors:
+            raise ConfigurationError("selectors must be non-empty")
+        for selector in self.selectors:
+            self.taxonomy.members(selector)  # fail fast on unknown selectors
+
+    def digest(self) -> str:
+        return _digest(
+            {
+                "train_seconds": self.train_seconds,
+                "test_len": self.test_len,
+                "selectors": list(self.selectors),
+                "kinds": list(_ordered_measures(self.measures)),
+                "min_tests": self.min_tests,
+                "sc": self.sc_convention,
+                "pre": self.pre_frames,
+                "post": self.post_frames,
+                "fps": FRAMES_PER_SECOND,
+                "taxonomy": {k: sorted(v) for k, v in self.taxonomy.classes.items()},
+            }
+        )
+
+
+@dataclass(frozen=True)
 class ReportCell:
     """Metrics of one experiment cell.
 
@@ -509,8 +565,8 @@ def _score_cells(registry, tests, owners, kinds, sc_convention, min_tests=None) 
     return cells
 
 
-def _report(protocol, axes, seed, digest, cells: list, kinds, sc_convention, min_tests=None):
-    """The report of every (coords, build) cell, for each measure kind.
+def _report(protocol, axes, seed, cfg, cells: list, min_tests=None):
+    """The report of every (coords, build) cell, for each of ``cfg``'s measures.
 
     ``build()`` returns the cell's (registry, tests, owners). Cells are built
     and scored on every CPU this process may use, as :func:`_ordered_map`
@@ -518,21 +574,17 @@ def _report(protocol, axes, seed, digest, cells: list, kinds, sc_convention, min
     """
     report = ExperimentReport(
         axes=(*axes, "measure"),
-        metadata={"protocol": protocol, "seed": seed, "config": digest},
+        metadata={"protocol": protocol, "seed": seed, "config": cfg.digest()},
     )
 
     def score(cell):
         _, build = cell
-        return _score_cells(*build(), kinds, sc_convention, min_tests)
+        return _score_cells(*build(), _ordered_measures(cfg.measures), cfg.sc_convention, min_tests)
 
     for (coords, _), by_kind in zip(cells, _ordered_map(score, cells)):
         for kind, cell in by_kind.items():
             report.cells[(*coords, kind)] = cell
     return report
-
-
-def _ordered_measures(requested) -> tuple:
-    return tuple(kind for kind in MEASURE_KINDS if kind in requested)
 
 
 def run_duration_experiment(
@@ -545,8 +597,7 @@ def run_duration_experiment(
     :func:`load_corpus`), and the report is that of a serial run, which
     ``taskset -c 0`` gives.
     """
-    if cfg is None:
-        cfg = DurationProtocolConfig()
+    cfg = DurationProtocolConfig() if cfg is None else cfg
     train_grid = sorted(set(cfg.train_durations), reverse=True)
     test_grid = sorted(set(cfg.test_durations), reverse=True)
     cap = cfg.max_tests_per_speaker
@@ -582,9 +633,7 @@ def run_duration_experiment(
         for train_s, train_f, registry in zip(train_grid, train_frames, registries)
         for test_s, test_f in zip(test_grid, test_frames)
     ]
-    kinds = _ordered_measures(cfg.measures)
-    axes = ("train_s", "test_s")
-    return _report("duration", axes, corpus.seed, cfg.digest(), cells, kinds, cfg.sc_convention)
+    return _report("duration", ("train_s", "test_s"), corpus.seed, cfg, cells)
 
 
 def _test_bounds(n_frames: int, train_f: int, test_f: int, cap: int) -> np.ndarray:
@@ -621,47 +670,22 @@ def _test_segments(speaker_id, placed, train_f: int, pre_frames: int, post_frame
 
 
 def run_phonetic_experiment(
-    corpus: LoadedCorpus,
-    taxonomy: PhonemeClassTaxonomy | None = None,
-    selectors=None,
-    kinds=MEASURE_KINDS,
-    train_seconds: float = 15.0,
-    test_len: int = 100,
-    min_tests: int = 40,
-    sc_convention: str = SC_DECOMPOSITION,
-    pre_frames: int = DEFAULT_PRE_FRAMES,
-    post_frames: int = DEFAULT_POST_FRAMES,
+    corpus: LoadedCorpus, cfg: PhoneticProtocolConfig | None = None, **fields
 ) -> ExperimentReport:
     """Score phonetically biased one-second tests against unbiased training.
 
-    As in :func:`run_duration_experiment`, the cells, one per selector, are
-    scored on every CPU this process may use, and the report is that of a
-    serial run.
+    The protocol is ``cfg``, or the defaults, with ``fields`` set over it. Its
+    cells, one per selector, are scored on every CPU, as in :func:`run_duration_experiment`.
     """
-    train_f = _seconds_to_frames(train_seconds)
-    if test_len < 2:
-        raise ConfigurationError(f"test length must be at least 2 frames, got {test_len}")
-    if min_tests < 0:
-        raise ConfigurationError(f"min_tests must be >= 0, got {min_tests}")
-    if pre_frames < 0 or post_frames < 0:
-        raise ConfigurationError(
-            f"kernel widening must be >= 0 frames, got pre {pre_frames}, post {post_frames}"
-        )
-    _check_measures(kinds, sc_convention)
-    if taxonomy is None:
-        taxonomy = default_taxonomy()
-    if selectors is None:
-        selectors = CLASS_ORDER
-    for selector in selectors:
-        taxonomy.members(selector)  # fail fast on unknown selectors
-    kinds = _ordered_measures(kinds)
+    cfg = PhoneticProtocolConfig(**fields) if cfg is None else replace(cfg, **fields)
+    train_f = _seconds_to_frames(cfg.train_seconds)
     ids, _ = _checked_speakers(
-        corpus, train_f + test_len, f"{train_seconds:g} s training plus one test"
+        corpus, train_f + cfg.test_len, f"{cfg.train_seconds:g} s training plus one test"
     )
 
     streams = [
-        (speaker_id, concat, _test_segments(speaker_id, placed, train_f, pre_frames, post_frames))
-        for speaker_id, concat, placed in _speaker_streams(corpus)
+        (sid, concat, _test_segments(sid, placed, train_f, cfg.pre_frames, cfg.post_frames))
+        for sid, concat, placed in _speaker_streams(corpus)
     ]
     training = SegmentMoments((concat[:train_f], [train_f]) for _, concat, _ in streams)
     registry = _reference_registry(ids, training, train_f)
@@ -672,32 +696,15 @@ def run_phonetic_experiment(
         def speaker_tests():
             # one speaker's pooled frames alive at a time
             for speaker_id, concat, segments in streams:
-                pooled = select_frames(concat, segments, selector, taxonomy)
-                blocks = assemble_tests(pooled, test_len)
+                pooled = select_frames(concat, segments, selector, cfg.taxonomy)
+                blocks = assemble_tests(pooled, cfg.test_len)
                 owners.extend([speaker_id] * len(blocks))
                 yield blocks
 
         return registry, stack_blocks(speaker_tests()), owners
 
-    cells = [((selector,), functools.partial(build, selector)) for selector in selectors]
-
-    digest = _digest(
-        {
-            "train_seconds": train_seconds,
-            "test_len": test_len,
-            "selectors": list(selectors),
-            "kinds": list(kinds),
-            "min_tests": min_tests,
-            "sc": sc_convention,
-            "pre": pre_frames,
-            "post": post_frames,
-            "fps": FRAMES_PER_SECOND,
-            "taxonomy": {k: sorted(v) for k, v in taxonomy.classes.items()},
-        }
-    )
-    return _report(
-        "phonetic", ("selector",), corpus.seed, digest, cells, kinds, sc_convention, min_tests
-    )
+    cells = [((selector,), functools.partial(build, selector)) for selector in cfg.selectors]
+    return _report("phonetic", ("selector",), corpus.seed, cfg, cells, cfg.min_tests)
 
 
 def _format_axis_value(value) -> str:

@@ -119,6 +119,25 @@ class TestTrainAndIdentify:
         assert code == 0
         assert capsys.readouterr().out.startswith("test_id,decision,")
 
+    @pytest.mark.parametrize(
+        "rows, named",
+        [
+            ("1,2,3,4,5,6\n", "need at least 2 vectors to estimate a model, got 1"),
+            ("1,2,3,4,5,6\n" * 50, "covariance of a frame block is not positive definite"),
+        ],
+        ids=["one-row", "constant-rows"],
+    )
+    def test_test_model_that_cannot_be_built_names_its_file(
+        self, corpus_dir, tmp_path, capsys, rows, named
+    ):
+        store = tmp_path / "store"
+        manifest = str(corpus_dir / "manifest.json")
+        assert main(["train", "--manifest", manifest, "--out", str(store)]) == 0
+        features = tmp_path / "test.csv"
+        features.write_text(rows)
+        assert main(["identify", "--store", str(store), str(features)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {features}: {named}")
+
     @pytest.mark.parametrize("make_dir", [False, True])
     def test_missing_or_empty_store_is_data_error(
         self, corpus_dir, tmp_path, capsys, make_dir
@@ -526,6 +545,14 @@ class TestExitCodes:
         code = main(["eval-phonetic", "--manifest", str(corpus_dir / "manifest.json"), *flags])
         assert code == 2
         assert named in capsys.readouterr().err
+
+    def test_bad_phonetic_flags_are_checked_before_the_manifest(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code = main(["eval-phonetic", "--manifest", str(missing), "--test-frames", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "test length must be at least 2 frames, got 0" in err
+        assert "missing.json" not in err
 
     def test_kernel_past_its_track_names_speaker_and_sentence(self, tmp_path, capsys):
         cfg = SynthCorpusConfig(

@@ -27,6 +27,7 @@ from sosid.experiment import (
     ExperimentReport,
     LoadedCorpus,
     LoadedSentence,
+    PhoneticProtocolConfig,
     ReportCell,
     SentenceRef,
     compute_metrics,
@@ -611,6 +612,23 @@ class TestPhoneticExperiment:
             )
         )
         assert run_phonetic_experiment(corpus).metadata["config"] == "b17597d79428"
+        assert PhoneticProtocolConfig().digest() == "b17597d79428"
+
+    def test_config_keyword_and_replace_forms_give_the_same_report(self):
+        _, corpus = _labeled_corpus()
+        fields = {"selectors": ("All", "Vowels"), "measures": ("mu_sc", "mu_g"), "min_tests": 5}
+        other = PhoneticProtocolConfig(selectors=("m",), measures=("mu_gc",), min_tests=0)
+        reports = [
+            run_phonetic_experiment(corpus, PhoneticProtocolConfig(**fields)),
+            run_phonetic_experiment(corpus, **fields),
+            run_phonetic_experiment(corpus, other, **fields),
+        ]
+        texts = [emit_report(report, "csv") for report in reports]
+        assert texts[0] == texts[1] == texts[2]
+        assert "All,mu_sc," in texts[0] and "mu_gc" not in texts[0]
+        # fields set over a config are validated as the config's own
+        with pytest.raises(ConfigurationError, match="got 0"):
+            run_phonetic_experiment(corpus, other, test_len=0)
 
     def test_empty_selector_reports_zero_tests(self):
         _, corpus = _labeled_corpus()
@@ -716,18 +734,26 @@ class TestPhoneticExperiment:
             ({"pre_frames": -1}, "pre -1"),
             ({"post_frames": -2}, "post -2"),
             ({"sc_convention": "sideways"}, "sideways"),
-            ({"kinds": ("mu_g", "mu_x")}, "unknown measures: ['mu_x']"),
+            ({"measures": ("mu_g", "mu_x")}, "unknown measures: ['mu_x']"),
+            ({"test_len": 2.5}, "test_len must be an integer, got 2.5"),
+            ({"test_len": True}, "test_len must be an integer, got True"),
+            ({"min_tests": 2.5}, "min_tests must be an integer, got 2.5"),
+            ({"min_tests": True}, "min_tests must be an integer, got True"),
+            ({"pre_frames": 1.5}, "pre_frames must be an integer, got 1.5"),
+            ({"post_frames": False}, "post_frames must be an integer, got False"),
+            ({"selectors": ()}, "selectors must be non-empty"),
         ],
         ids=[
             "negative-train", "one-frame-train", "zero-test", "negative-test",
             "negative-min-tests", "negative-pre", "negative-post", "unknown-sc",
-            "unknown-kind",
+            "unknown-kind", "fractional-test", "boolean-test", "fractional-min-tests",
+            "boolean-min-tests", "fractional-pre", "boolean-post", "no-selectors",
         ],
     )
     def test_bad_lengths_and_conventions_rejected(self, kwargs, named):
         _, corpus = _labeled_corpus()
         with pytest.raises(ConfigurationError, match=re.escape(named)):
-            run_phonetic_experiment(corpus, selectors=("All",), **kwargs)
+            run_phonetic_experiment(corpus, **{"selectors": ("All",), **kwargs})
 
 
 def _duration_grid():
