@@ -1,11 +1,11 @@
 """Utterance-duration and phonetic-content identification protocols.
 
 Both protocols run on one skeleton and differ only in their tests. Each
-takes a :class:`LoadedCorpus` of at least 2 speakers, concatenates every
-speaker's sentences in a seeded random order (silence handling, if any,
+takes a :class:`LoadedCorpus` of at least 2 speakers, lays every speaker's
+sentences end to end in a seeded random order (silence handling, if any,
 happened upstream; nothing is stripped here), builds the reference models
-from the leading training seconds of that concatenation, and scores every
-test of a cell against every speaker for every requested measure, at
+from the leading training seconds of that stream, and scores every test of
+a cell against every speaker for every requested measure, at
 ``FRAMES_PER_SECOND``.
 
 Duration protocol: for each training duration, the remainder is cut into
@@ -14,7 +14,8 @@ consecutive test blocks of each test duration, capped per speaker.
 Phonetic protocol: tests come from the material after the training
 seconds only: phone kernels are widened, frames matching a phoneme or
 class selector are pooled per speaker, and the pool is cut into fixed
-one-second tests.
+one-second tests. It reads each sentence's own frame array and never
+concatenates a whole stream, so it holds the corpus once.
 
 Reported metrics per cell: the global percentage of correct decisions over
 all tests, and the unweighted mean over speakers of each speaker's own
@@ -393,7 +394,7 @@ class DurationProtocolConfig:
                 "train": list(self.train_durations),
                 "test": list(self.test_durations),
                 "cap": self.max_tests_per_speaker,
-                "measures": list(self.measures),
+                "measures": list(_ordered_measures(self.measures)),
                 "sc": self.sc_convention,
                 "fps": FRAMES_PER_SECOND,
             }
@@ -432,8 +433,10 @@ class PhoneticProtocolConfig:
         _check_measures(self.measures, self.sc_convention)
         if not self.selectors:
             raise ConfigurationError("selectors must be non-empty")
-        for selector in self.selectors:
+        for index, selector in enumerate(self.selectors):
             self.taxonomy.members(selector)  # fail fast on unknown selectors
+            if selector in self.selectors[:index]:
+                raise ConfigurationError(f"selector {selector!r} is given more than once")
 
     def digest(self) -> str:
         return _digest(
@@ -489,24 +492,30 @@ def compute_metrics(results) -> tuple:
     return global_accuracy, sum(speaker_means) / len(speaker_means)
 
 
-def _speaker_stream(corpus: LoadedCorpus, index: int):
-    """Seeded random concatenation of the sentences of the corpus's index-th speaker.
+def _speaker_order(corpus: LoadedCorpus, index: int) -> list:
+    """Seeded random order of the sentences of the corpus's index-th speaker.
 
-    Returns the concatenated frames and the ordered (offset, sentence)
-    pairs; the same corpus seed always yields the same order, so the
-    duration and phonetic protocols see identical training material.
+    Returns (offset, sentence) pairs, the offset being where the sentence
+    starts in the concatenation of the order; the same corpus seed always
+    yields the same order, so the duration and phonetic protocols see
+    identical training material.
     """
     _, sentences = corpus.speakers[index]
     rng = np.random.default_rng(
         np.random.SeedSequence([corpus.seed, _SHUFFLE_STREAM, index])
     )
-    order = rng.permutation(len(sentences))
     placed = []
     offset = 0
-    for sentence_index in order:
+    for sentence_index in rng.permutation(len(sentences)):
         sentence = sentences[sentence_index]
         placed.append((offset, sentence))
         offset += len(sentence.frames)
+    return placed
+
+
+def _speaker_stream(corpus: LoadedCorpus, index: int):
+    """The concatenated frames of :func:`_speaker_order`'s sentences, and that order."""
+    placed = _speaker_order(corpus, index)
     concat = (
         np.concatenate([sentence.frames for _, sentence in placed])
         if placed
@@ -516,7 +525,11 @@ def _speaker_stream(corpus: LoadedCorpus, index: int):
 
 
 def _speaker_streams(corpus: LoadedCorpus):
-    """(speaker_id, concatenated frames, placed sentences) of every speaker."""
+    """(speaker_id, concatenated frames, placed sentences) of every speaker.
+
+    Neither protocol holds all streams at once; this is the plain reference
+    their material is checked against.
+    """
     return [
         (speaker_id, *_speaker_stream(corpus, index))
         for index, (speaker_id, _) in enumerate(corpus.speakers)
@@ -644,8 +657,11 @@ def _test_bounds(n_frames: int, train_f: int, test_f: int, cap: int) -> np.ndarr
 
 
 def _test_segments(speaker_id, placed, train_f: int, pre_frames: int, post_frames: int) -> list:
-    """(label, start, end) of a stream's widened kernels after its ``train_f`` training frames."""
-    segments = []
+    """(frames, segments) of each sentence of a stream that reaches past its
+    ``train_f`` training frames, in stream order: the sentence's frame array
+    and its widened kernels' (label, start, end), in sentence coordinates.
+    """
+    sentences = []
     for offset, sentence in placed:
         length = len(sentence.frames)
         if offset + length <= train_f:
@@ -660,13 +676,15 @@ def _test_segments(speaker_id, placed, train_f: int, pre_frames: int, post_frame
             raise AlignmentError(
                 f"speaker {speaker_id}, sentence {sentence.alignment.sentence_id}: {exc}"
             ) from None
+        segments = []
         for label, start, end in kernels:
             # segments straddling the training boundary are clipped so no
             # training frame can reach a test
-            start = max(start + offset, train_f)
-            if start <= end + offset:
-                segments.append((label, start, end + offset))
-    return segments
+            start = max(start, train_f - offset)
+            if start <= end:
+                segments.append((label, start, end))
+        sentences.append((sentence.frames, segments))
+    return sentences
 
 
 def run_phonetic_experiment(
@@ -683,21 +701,32 @@ def run_phonetic_experiment(
         corpus, train_f + cfg.test_len, f"{cfg.train_seconds:g} s training plus one test"
     )
 
-    streams = [
-        (sid, concat, _test_segments(sid, placed, train_f, cfg.pre_frames, cfg.post_frames))
-        for sid, concat, placed in _speaker_streams(corpus)
+    # tests read each sentence's own array; only a training block is ever concatenated
+    orders = [_speaker_order(corpus, index) for index in range(len(ids))]
+    tests = [
+        (sid, _test_segments(sid, placed, train_f, cfg.pre_frames, cfg.post_frames))
+        for sid, placed in zip(ids, orders)
     ]
-    training = SegmentMoments((concat[:train_f], [train_f]) for _, concat, _ in streams)
-    registry = _reference_registry(ids, training, train_f)
+
+    def leading_frames():
+        # one speaker's training block alive at a time
+        for placed in orders:
+            frames = [sentence.frames for offset, sentence in placed if offset < train_f]
+            yield np.concatenate(frames)[:train_f], [train_f]
+
+    registry = _reference_registry(ids, SegmentMoments(leading_frames()), train_f)
 
     def build(selector):
         owners = []
 
         def speaker_tests():
             # one speaker's pooled frames alive at a time
-            for speaker_id, concat, segments in streams:
-                pooled = select_frames(concat, segments, selector, cfg.taxonomy)
-                blocks = assemble_tests(pooled, cfg.test_len)
+            for speaker_id, sentences in tests:
+                picked = [
+                    select_frames(frames, segments, selector, cfg.taxonomy)
+                    for frames, segments in sentences
+                ]
+                blocks = assemble_tests(np.concatenate(picked), cfg.test_len)
                 owners.extend([speaker_id] * len(blocks))
                 yield blocks
 
@@ -754,8 +783,9 @@ def _emit_markdown(report: ExperimentReport) -> str:
     flagged = False
     for coords, cell in report.cells.items():
         row = [_format_axis_value(v) for v in coords]
-        row.append(f"{cell.global_accuracy:.1f}")
-        row.append(f"{cell.per_speaker_mean_accuracy:.1f}")
+        # a cell without tests has no accuracy; the CSV keeps its 0.0
+        for accuracy in (cell.global_accuracy, cell.per_speaker_mean_accuracy):
+            row.append(f"{accuracy:.1f}" if cell.n_tests else "n/a")
         tests = f"({cell.n_tests})"
         if cell.low_count:
             tests += " *"

@@ -86,10 +86,17 @@ def _check_count(count: int, dim: int) -> None:
 
 
 def _ml_moments(sums, outers, counts):
-    """Stacked means and ML (1/M) covariances from raw moment sums, in one pass."""
+    """Stacked means and ML (1/M) covariances from raw moment sums, in one pass.
+
+    The covariances are finalized in ``outers``' own buffer, which is left
+    overwritten; only the symmetrized result is a new array.
+    """
     means = sums / counts[:, None]
-    covs = outers / counts[:, None, None] - means[:, :, None] * means[:, None, :]
-    return means, (covs + np.swapaxes(covs, 1, 2)) / 2.0
+    outers /= counts[:, None, None]
+    outers -= means[:, :, None] * means[:, None, :]
+    covs = outers + np.swapaxes(outers, 1, 2)
+    covs /= 2.0
+    return means, covs
 
 
 @dataclass(frozen=True)
@@ -177,8 +184,10 @@ def _factorize_stack(covs, singular=None):
     for i, factor in enumerate(factors):
         inv_factors[i] = scipy.linalg.lapack.dtrtri(factor, lower=1)[0]
     inverses = np.swapaxes(inv_factors, 1, 2) @ inv_factors
-    inverses = (inverses + np.swapaxes(inverses, 1, 2)) / 2.0
-    return factors, loadings, log_dets, inverses
+    del inv_factors
+    symmetric = inverses + np.swapaxes(inverses, 1, 2)
+    symmetric /= 2.0
+    return factors, loadings, log_dets, symmetric
 
 
 @dataclass(frozen=True)
@@ -315,6 +324,9 @@ def stack_moments(moments) -> ModelStack:
     that does not factorize even so is a DegenerateModelError. A covariance
     from p frames or fewer has rank below p, so it is loaded even where
     rounding would let its Cholesky factorization through.
+
+    The moments are consumed: the outer-product sums are finalized in place,
+    so pass arrays that nothing else reads afterwards.
     """
     sums, outers, counts = moments
     del moments  # this frame's references are then the only ones to the raw sums

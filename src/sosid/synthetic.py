@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.signal
 
 from .errors import ConfigurationError
 from .experiment import LoadedCorpus, LoadedSentence, _ordered_map
@@ -140,6 +139,10 @@ def generate_labeled_frames(
         # y[0] = noise[0], y[t] = corr * y[t-1] + sqrt(1-corr^2) * noise[t]
         driven = noise * math.sqrt(1.0 - correlation**2)
         driven[0] = noise[0]
+        # imported here, not at the top: scipy.signal is most of the cost of
+        # importing sosid, and only correlated synthetic frames need it
+        import scipy.signal
+
         noise = scipy.signal.lfilter([1.0], [1.0, -correlation], driven, axis=0)
     offsets = np.stack([speaker.class_offsets[label] for label in labels])
     frames = noise + speaker.base_mean + offsets

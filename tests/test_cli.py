@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sosid
 from sosid.cli import main
 from sosid.experiment import DurationProtocolConfig
 from sosid.frontend import load_features_csv, save_wav
@@ -24,6 +29,13 @@ def corpus_dir(tmp_path):
     )
     write_corpus(cfg, tmp_path / "corpus")
     return tmp_path / "corpus"
+
+
+def test_importing_the_cli_leaves_scipy_signal_unloaded():
+    # scipy.signal is most of a cold start, and only synthetic AR(1) frames need it
+    env = {**os.environ, "PYTHONPATH": str(Path(sosid.__file__).parents[1])}
+    code = "import sys, sosid.cli; sys.exit('scipy.signal' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestSynthCorpus:
@@ -535,10 +547,11 @@ class TestExitCodes:
             (["--test-frames", "-5"], "got -5"),
             (["--min-tests", "-3"], "got -3"),
             (["--train-seconds", "1e307"], "duration 1e+307 s is not a finite number of frames"),
+            (["--selectors", "All,All"], "selector 'All' is given more than once"),
         ],
         ids=[
             "negative-train", "one-frame-train", "zero-test", "negative-test", "negative-min",
-            "overflowing-train",
+            "overflowing-train", "repeated-selector",
         ],
     )
     def test_bad_phonetic_lengths_are_data_errors(self, corpus_dir, capsys, flags, named):

@@ -95,6 +95,15 @@ class TestEmitReport:
         assert emit_report(report, "csv") == emit_report(report, "csv")
         assert emit_report(report, "markdown") == emit_report(report, "markdown")
 
+    def test_cell_without_tests_has_no_accuracy_in_markdown(self):
+        report = ExperimentReport(axes=("selector", "measure"))
+        report.cells[("LiquidsGlides", "mu_g")] = ReportCell(0.0, 0.0, 0, low_count=True)
+        report.cells[("All", "mu_g")] = ReportCell(0.0, 0.0, 41)
+        markdown = emit_report(report, "markdown")
+        assert "| LiquidsGlides | mu_g | n/a | n/a | (0) * |\n" in markdown
+        assert "| All | mu_g | 0.0 | 0.0 | (41) |\n" in markdown
+        assert "LiquidsGlides,mu_g,0,0,0,1\n" in emit_report(report, "csv")
+
     def test_low_count_flagged(self):
         report = ExperimentReport(axes=("selector", "measure"))
         report.cells[("All", "mu_g")] = ReportCell(90.0, 90.0, 12, low_count=True)
@@ -442,6 +451,17 @@ class TestDurationExperiment:
         # the digest is written into every duration report
         assert DurationProtocolConfig().digest() == "22436463faca"
 
+    def test_measure_order_changes_neither_digest_nor_report(self):
+        grid = {"train_durations": (6.0,), "test_durations": (1.0,)}
+        configs = [
+            DurationProtocolConfig(**grid, measures=measures)
+            for measures in (("mu_sc", "mu_g"), ("mu_g", "mu_sc"))
+        ]
+        assert configs[0].digest() == configs[1].digest()
+        corpus = _easy_corpus()
+        texts = [emit_report(run_duration_experiment(corpus, cfg), "csv") for cfg in configs]
+        assert texts[0] == texts[1]
+
     @pytest.mark.parametrize(
         "run", [run_duration_experiment, run_phonetic_experiment], ids=["duration", "phonetic"]
     )
@@ -593,6 +613,22 @@ def _labeled_corpus(seed=0, class_spread=0.0, n_speakers=3, frames=3000):
     return cfg, make_corpus(cfg)
 
 
+def _stream_segments(placed, train_f, pre=5, post=5):
+    """Widened kernels of a concatenated stream after its training frames, in
+    stream coordinates: the reference the phonetic protocol's pooling equals."""
+    segments = []
+    for offset, sentence in placed:
+        if offset + len(sentence.frames) <= train_f:
+            continue
+        for label, s, e in expand_kernels(
+            sentence.alignment, pre, post, track_len=len(sentence.frames)
+        ):
+            lo = max(s + offset, train_f)
+            if lo <= e + offset:
+                segments.append((label, lo, e + offset))
+    return segments
+
+
 class TestPhoneticExperiment:
     def test_runs_and_counts_tests(self):
         _, corpus = _labeled_corpus()
@@ -668,24 +704,64 @@ class TestPhoneticExperiment:
         # independent recomputation of the expected number of tests
         from sosid.experiment import _speaker_streams
 
-        train_f = 1500
         for selector in selectors:
             expected = 0
             for speaker_id, concat, placed in _speaker_streams(corpus):
-                segments = []
-                for offset, sentence in placed:
-                    if offset + len(sentence.frames) <= train_f:
-                        continue
-                    for label, s, e in expand_kernels(
-                        sentence.alignment, 5, 5, track_len=len(sentence.frames)
-                    ):
-                        lo = max(s + offset, train_f)
-                        if lo <= e + offset:
-                            segments.append((label, lo, e + offset))
+                segments = _stream_segments(placed, 1500)
                 pooled = select_frames(concat, segments, selector, taxonomy)
                 expected += len(assemble_tests(pooled, 100))
             for kind in ("mu_g", "mu_gc", "mu_sc"):
                 assert report.cells[(selector, kind)].n_tests == expected
+
+    def test_tests_equal_blocks_pooled_from_concatenated_streams(self, cpus):
+        # each cell's test stack is, bit for bit, that of the blocks pooled
+        # from every speaker's concatenated stream in stream coordinates; the
+        # training boundary falls inside a sentence, so a kernel straddles it
+        _, corpus = _labeled_corpus(seed=4, class_spread=1.0)
+        selectors = ("All", "Vowels", "m", "LiquidsGlides")
+        seen = []
+
+        def spy(registry, tests, owners, *args):
+            seen.append((tests, list(owners)))
+            return score_cells(registry, tests, owners, *args)
+
+        score_cells = experiment._score_cells
+        cpus(1)  # every cell is scored in this process, where the spy sees it
+        with mock.patch.object(experiment, "_score_cells", spy):
+            run_phonetic_experiment(
+                corpus, selectors=selectors, train_seconds=14.2, test_len=60, pre_frames=3
+            )
+        taxonomy = default_taxonomy()
+        assert len(seen) == len(selectors)
+        for selector, (tests, owners) in zip(selectors, seen):
+            blocks, want_owners = [], []
+            for speaker_id, concat, placed in experiment._speaker_streams(corpus):
+                segments = _stream_segments(placed, 1420, pre=3)
+                pooled = select_frames(concat, segments, selector, taxonomy)
+                blocks.append(assemble_tests(pooled, 60))
+                want_owners += [speaker_id] * len(blocks[-1])
+            want = stack_blocks(blocks)
+            assert owners == want_owners
+            assert (len(tests) == 0) == (selector == "LiquidsGlides")
+            for name in ("means", "covs", "counts", "inverses", "log_dets", "loadings"):
+                np.testing.assert_array_equal(getattr(tests, name), getattr(want, name))
+
+    def test_holds_the_corpus_once(self, cpus):
+        # neither a copy of every stream nor a cell's finalizing temporaries
+        # may come near the size of the corpus's own frames
+        import tracemalloc
+
+        _, corpus = _labeled_corpus(n_speakers=4, frames=3000)
+        frame_bytes = sum(s.frames.nbytes for _, sentences in corpus.speakers for s in sentences)
+        cpus(1)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            run_phonetic_experiment(corpus, selectors=("NasalVowels",))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 0.5 * frame_bytes
 
     def test_reports_are_byte_identical_across_runs(self):
         _, corpus_a = _labeled_corpus(seed=5)
@@ -742,12 +818,14 @@ class TestPhoneticExperiment:
             ({"pre_frames": 1.5}, "pre_frames must be an integer, got 1.5"),
             ({"post_frames": False}, "post_frames must be an integer, got False"),
             ({"selectors": ()}, "selectors must be non-empty"),
+            ({"selectors": ("All", "m", "All")}, "selector 'All' is given more than once"),
         ],
         ids=[
             "negative-train", "one-frame-train", "zero-test", "negative-test",
             "negative-min-tests", "negative-pre", "negative-post", "unknown-sc",
             "unknown-kind", "fractional-test", "boolean-test", "fractional-min-tests",
             "boolean-min-tests", "fractional-pre", "boolean-post", "no-selectors",
+            "repeated-selector",
         ],
     )
     def test_bad_lengths_and_conventions_rejected(self, kwargs, named):

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from sosid.errors import DegenerateModelError, NotPositiveDefiniteError, SosidError
@@ -15,6 +16,7 @@ from sosid.gaussian import (
     load_model_store,
     save_model_store,
     stack_blocks,
+    stack_moments,
     stack_models,
 )
 
@@ -260,6 +262,44 @@ class TestStackBlocks:
         assert len(stack) == 0
         assert stack.dim == 5
         assert stack.covs.shape == (0, 5, 5)
+
+
+def _out_of_place_rows(sums, outers, counts):
+    """Test-local reference: the ML finalize and the symmetrized inverse, each
+    formula written out of place, row by row; a count <= p row takes the loading."""
+    rows = []
+    for total, outer, count in zip(sums, outers, counts):
+        p = len(total)
+        mean = total / count
+        cov = outer / count - mean[:, None] * mean[None, :]
+        cov = (cov + cov.T) / 2.0
+        loading = DEFAULT_LOADING_SCALE * max(np.trace(cov), 0.0) / p if count <= p else 0.0
+        factor = np.linalg.cholesky(cov + loading * np.eye(p) if loading else cov)
+        inv_factor = scipy.linalg.lapack.dtrtri(factor, lower=1)[0]
+        inverse = inv_factor.T @ inv_factor
+        rows.append((mean, cov, (inverse + inverse.T) / 2.0, loading))
+    return rows
+
+
+class TestStackMoments:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_equal_out_of_place_formulas(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = 5
+        blocks = [rng.standard_normal((n, dim)) + 3.0 for n in (40, 3, 17, 6, 200)]
+        sums = np.stack([block.sum(axis=0) for block in blocks])
+        outers = np.stack([block.T @ block for block in blocks])
+        outers[:, 0, 1] += 1e-9  # rounding can leave raw outer sums asymmetric
+        counts = np.array([len(block) for block in blocks], dtype=float)
+        want = _out_of_place_rows(sums, outers, counts)
+        stack = stack_moments((sums, outers, counts))  # consumes its moments
+        assert stack.loadings[1] > 0.0  # 3 frames at dimension 5
+        np.testing.assert_array_equal(stack.counts, counts)
+        for i, (mean, cov, inverse, loading) in enumerate(want):
+            np.testing.assert_array_equal(stack.means[i], mean)
+            np.testing.assert_array_equal(stack.covs[i], cov)
+            np.testing.assert_array_equal(stack.inverses[i], inverse)
+            assert stack.loadings[i] == loading
 
 
 class TestModelStore:
