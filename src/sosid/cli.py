@@ -136,10 +136,8 @@ def _duration_config(args) -> DurationProtocolConfig:
         return DurationProtocolConfig(**flags)
     with json_document(args.config, "protocol config") as doc:
         for key in ("train_durations", "test_durations", "measures"):
-            if key in doc:
-                if not isinstance(doc[key], list):
-                    raise ConfigurationError(f"{key!r} is not an array")
-                doc[key] = tuple(doc[key])
+            if key in doc and not isinstance(doc[key], list):
+                raise ConfigurationError(f"{key!r} is not an array")
         return DurationProtocolConfig(**{**doc, **flags})
 
 

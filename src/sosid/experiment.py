@@ -76,17 +76,14 @@ FRAMES_PER_SECOND = 100  # 10 ms frame period
 _SHUFFLE_STREAM = 2
 
 
-def _check_measures(kinds, sc_convention: str) -> None:
-    """A ConfigurationError for a measure kind or mu_sc convention sosid does not know."""
+def _checked_measures(kinds, sc_convention: str) -> tuple:
+    """``kinds`` in report order; a ConfigurationError for a kind or convention sosid lacks."""
     unknown = set(kinds) - set(MEASURE_KINDS)
     if unknown:
         raise ConfigurationError(f"unknown measures: {sorted(unknown)}")
     if sc_convention not in SC_CONVENTIONS:
         raise ConfigurationError(f"unknown mu_sc convention {sc_convention!r}")
-
-
-def _ordered_measures(requested) -> tuple:
-    return tuple(kind for kind in MEASURE_KINDS if kind in requested)
+    return tuple(kind for kind in MEASURE_KINDS if kind in kinds)
 
 
 def _seconds_to_frames(seconds: float) -> int:
@@ -94,10 +91,10 @@ def _seconds_to_frames(seconds: float) -> int:
     if isinstance(seconds, bool) or not isinstance(seconds, numbers.Real):
         raise ConfigurationError(f"duration {seconds!r} is not a number")
     try:
-        frames = round(seconds * FRAMES_PER_SECOND)
+        frames = round(float(seconds) * FRAMES_PER_SECOND)
     except (OverflowError, ValueError):
         raise ConfigurationError(
-            f"duration {seconds:g} s is not a finite number of frames"
+            f"duration {seconds} s is not a finite number of frames"
         ) from None
     if frames < 2:
         raise ConfigurationError(
@@ -384,9 +381,13 @@ class DurationProtocolConfig:
             raise ConfigurationError(f"max_tests_per_speaker must be an integer, got {cap!r}")
         if cap < 1:
             raise ConfigurationError("max_tests_per_speaker must be >= 1")
-        _check_measures(self.measures, self.sc_convention)
-        for duration in self.train_durations + self.test_durations:
-            _seconds_to_frames(duration)
+        # stored as the run uses them, so the digest names the grid that runs
+        object.__setattr__(self, "measures", _checked_measures(self.measures, self.sc_convention))
+        for name in ("train_durations", "test_durations"):
+            for duration in getattr(self, name):
+                _seconds_to_frames(duration)
+            grid = sorted(set(map(float, getattr(self, name))), reverse=True)
+            object.__setattr__(self, name, tuple(grid))
 
     def digest(self) -> str:
         return _digest(
@@ -394,7 +395,7 @@ class DurationProtocolConfig:
                 "train": list(self.train_durations),
                 "test": list(self.test_durations),
                 "cap": self.max_tests_per_speaker,
-                "measures": list(_ordered_measures(self.measures)),
+                "measures": list(self.measures),
                 "sc": self.sc_convention,
                 "fps": FRAMES_PER_SECOND,
             }
@@ -417,6 +418,7 @@ class PhoneticProtocolConfig:
 
     def __post_init__(self):
         _seconds_to_frames(self.train_seconds)
+        object.__setattr__(self, "train_seconds", float(self.train_seconds))
         for name in ("test_len", "min_tests", "pre_frames", "post_frames"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -430,7 +432,7 @@ class PhoneticProtocolConfig:
                 "kernel widening must be >= 0 frames, "
                 f"got pre {self.pre_frames}, post {self.post_frames}"
             )
-        _check_measures(self.measures, self.sc_convention)
+        object.__setattr__(self, "measures", _checked_measures(self.measures, self.sc_convention))
         if not self.selectors:
             raise ConfigurationError("selectors must be non-empty")
         for index, selector in enumerate(self.selectors):
@@ -444,7 +446,7 @@ class PhoneticProtocolConfig:
                 "train_seconds": self.train_seconds,
                 "test_len": self.test_len,
                 "selectors": list(self.selectors),
-                "kinds": list(_ordered_measures(self.measures)),
+                "kinds": list(self.measures),
                 "min_tests": self.min_tests,
                 "sc": self.sc_convention,
                 "pre": self.pre_frames,
@@ -592,7 +594,7 @@ def _report(protocol, axes, seed, cfg, cells: list, min_tests=None):
 
     def score(cell):
         _, build = cell
-        return _score_cells(*build(), _ordered_measures(cfg.measures), cfg.sc_convention, min_tests)
+        return _score_cells(*build(), cfg.measures, cfg.sc_convention, min_tests)
 
     for (coords, _), by_kind in zip(cells, _ordered_map(score, cells)):
         for kind, cell in by_kind.items():
@@ -611,15 +613,13 @@ def run_duration_experiment(
     ``taskset -c 0`` gives.
     """
     cfg = DurationProtocolConfig() if cfg is None else cfg
-    train_grid = sorted(set(cfg.train_durations), reverse=True)
-    test_grid = sorted(set(cfg.test_durations), reverse=True)
     cap = cfg.max_tests_per_speaker
-    train_frames = [_seconds_to_frames(train_s) for train_s in train_grid]
-    test_frames = [_seconds_to_frames(test_s) for test_s in test_grid]
+    train_frames = [_seconds_to_frames(train_s) for train_s in cfg.train_durations]
+    test_frames = [_seconds_to_frames(test_s) for test_s in cfg.test_durations]
     ids, n_frames = _checked_speakers(
         corpus,
         max(train_frames) + min(test_frames),
-        f"{max(train_grid):g} s training plus one {min(test_grid):g} s test",
+        f"{max(cfg.train_durations):g} s training plus one {min(cfg.test_durations):g} s test",
     )
 
     def cut_streams():
@@ -643,8 +643,8 @@ def run_duration_experiment(
 
     cells = [
         ((train_s, test_s), functools.partial(build, registry, train_f, test_f))
-        for train_s, train_f, registry in zip(train_grid, train_frames, registries)
-        for test_s, test_f in zip(test_grid, test_frames)
+        for train_s, train_f, registry in zip(cfg.train_durations, train_frames, registries)
+        for test_s, test_f in zip(cfg.test_durations, test_frames)
     ]
     return _report("duration", ("train_s", "test_s"), corpus.seed, cfg, cells)
 

@@ -101,14 +101,8 @@ def _ml_moments(sums, outers, counts):
 
 @dataclass(frozen=True)
 class SpdFactorization:
-    """Cached Cholesky factor, log determinant and inverse of a covariance.
+    """Log determinant and inverse of ``cov + loading * I``; loading is 0.0 unless it fired."""
 
-    ``factor @ factor.T`` reconstructs the factorized matrix, which is
-    ``cov + loading * I``; loading is 0.0 unless the diagonal loading
-    fallback fired.
-    """
-
-    factor: np.ndarray
     log_det: float
     inverse: np.ndarray
     loading: float = 0.0
@@ -123,9 +117,8 @@ def factorize(model) -> SpdFactorization:
     :func:`stack_models` holds the same values.
     """
     cov = model.cov if isinstance(model, GaussianModel) else np.asarray(model, dtype=float)
-    factors, loadings, log_dets, inverses = _factorize_stack(np.stack([cov]))
+    loadings, log_dets, inverses = _factorize_stack(np.stack([cov]))
     return SpdFactorization(
-        factor=factors[0],
         log_det=float(log_dets[0]),
         inverse=inverses[0],
         loading=float(loadings[0]),
@@ -158,7 +151,7 @@ def _cholesky_with_loading(cov, singular=False):
 
 
 def _factorize_stack(covs, singular=None):
-    """Factors, loadings, log-dets and inverses of a (n, p, p) covariance stack.
+    """Loadings, log-dets and inverses of a (n, p, p) covariance stack.
 
     One batched Cholesky serves the common case; only when it fails, or the
     boolean mask ``singular`` marks a covariance known to be singular, is
@@ -179,15 +172,15 @@ def _factorize_stack(covs, singular=None):
         for i, cov in enumerate(covs):
             factors[i], loadings[i] = _cholesky_with_loading(cov, singular[i])
     log_dets = 2.0 * np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1)
-    # inverse = L^-T L^-1; a positive Cholesky diagonal makes trtri succeed
-    inv_factors = np.empty_like(factors)
-    for i, factor in enumerate(factors):
-        inv_factors[i] = scipy.linalg.lapack.dtrtri(factor, lower=1)[0]
-    inverses = np.swapaxes(inv_factors, 1, 2) @ inv_factors
-    del inv_factors
+    # inverse = L^-T L^-1; a positive Cholesky diagonal makes trtri succeed.
+    # Inverted in place by index: a loop variable would keep ``factors`` alive past its del
+    for i in range(len(factors)):
+        factors[i] = scipy.linalg.lapack.dtrtri(factors[i], lower=1)[0]
+    inverses = np.swapaxes(factors, 1, 2) @ factors
+    del factors
     symmetric = inverses + np.swapaxes(inverses, 1, 2)
     symmetric /= 2.0
-    return factors, loadings, log_dets, symmetric
+    return loadings, log_dets, symmetric
 
 
 @dataclass(frozen=True)
@@ -217,7 +210,7 @@ class ModelStack:
 
 def _factorized(means, covs, counts, singular=None) -> ModelStack:
     """Stack of estimated models, their covariances factorized as one batch."""
-    _, loadings, log_dets, inverses = _factorize_stack(covs, singular)
+    loadings, log_dets, inverses = _factorize_stack(covs, singular)
     return ModelStack(means, covs, counts, inverses, log_dets, loadings)
 
 

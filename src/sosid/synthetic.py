@@ -70,6 +70,10 @@ class SynthCorpusConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_speakers", "dim", "frames_per_speaker", "sentence_len_frames", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.n_speakers < 1 or self.dim < 1:
             raise ConfigurationError("n_speakers and dim must be >= 1")
         # a NaN fails both comparisons

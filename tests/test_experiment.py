@@ -39,6 +39,7 @@ from sosid.experiment import (
 )
 from sosid.frontend import save_wav
 from sosid.gaussian import GaussianModel, factorize, stack_blocks
+from sosid.measures import MEASURE_KINDS
 from sosid.phonetic import assemble_tests, default_taxonomy, expand_kernels, select_frames
 from sosid.synthetic import SynthCorpusConfig, make_corpus, write_corpus
 
@@ -430,8 +431,9 @@ class TestDurationExperiment:
             ({"test_durations": (math.inf,)}, "duration inf s is not a finite number"),
             ({"train_durations": (math.nan,)}, "duration nan s is not a finite number"),
             ({"train_durations": (1e307,)}, "duration 1e+307 s is not a finite number of frames"),
+            ({"test_durations": (10**400,)}, "0 s is not a finite number of frames"),
         ],
-        ids=["negative", "zero", "inf", "nan", "overflow"],
+        ids=["negative", "zero", "inf", "nan", "overflow", "beyond-float"],
     )
     def test_negative_and_non_finite_durations_rejected(self, durations, named):
         with pytest.raises(ConfigurationError, match=re.escape(named)):
@@ -452,15 +454,28 @@ class TestDurationExperiment:
         assert DurationProtocolConfig().digest() == "22436463faca"
 
     def test_measure_order_changes_neither_digest_nor_report(self):
-        grid = {"train_durations": (6.0,), "test_durations": (1.0,)}
+        # nor does the order, a repeat, or 2 against 2.0 in a duration list:
+        # a config stores the grid that runs, and the digest hashes that
         configs = [
-            DurationProtocolConfig(**grid, measures=measures)
-            for measures in (("mu_sc", "mu_g"), ("mu_g", "mu_sc"))
+            DurationProtocolConfig((6.0, 3.0), (2.0, 1.0), measures=("mu_sc", "mu_g")),
+            DurationProtocolConfig((6.0, 3.0), (2.0, 1.0), measures=("mu_g", "mu_sc")),
+            DurationProtocolConfig((3, 6.0, 3.0), [1, 2], measures=("mu_g", "mu_sc", "mu_g")),
         ]
-        assert configs[0].digest() == configs[1].digest()
+        assert configs[2].train_durations == (6.0, 3.0)
+        assert configs[2].test_durations == (2.0, 1.0)
+        assert configs[2].measures == ("mu_g", "mu_sc")
+        assert len({cfg.digest() for cfg in configs}) == 1
         corpus = _easy_corpus()
-        texts = [emit_report(run_duration_experiment(corpus, cfg), "csv") for cfg in configs]
-        assert texts[0] == texts[1]
+        texts = {emit_report(run_duration_experiment(corpus, cfg), "csv") for cfg in configs}
+        assert len(texts) == 1
+        phonetic = [
+            PhoneticProtocolConfig(selectors=("All",), train_seconds=seconds, measures=measures)
+            for seconds, measures in ((6, ("mu_sc", "mu_g")), (6.0, ("mu_g", "mu_sc")))
+        ]
+        assert phonetic[0].train_seconds == 6.0 and phonetic[0].measures == ("mu_g", "mu_sc")
+        assert phonetic[0].digest() == phonetic[1].digest()
+        texts = {emit_report(run_phonetic_experiment(corpus, cfg), "csv") for cfg in phonetic}
+        assert len(texts) == 1
 
     @pytest.mark.parametrize(
         "run", [run_duration_experiment, run_phonetic_experiment], ids=["duration", "phonetic"]
@@ -594,7 +609,7 @@ class TestSegmentMomentsGrid:
                 want = stack_blocks(blocks)
                 _assert_close_to_blocks(tests, want)
                 assert owners == want_owners
-                for kind in experiment._ordered_measures(cfg.measures):
+                for kind in cfg.measures:
                     cell = report.cells[(train_s, test_s, kind)]
                     assert cell.n_tests == len(want)
                     assert cell.n_loaded == np.count_nonzero(want.loadings)
@@ -804,6 +819,7 @@ class TestPhoneticExperiment:
         [
             ({"train_seconds": -1.0}, "duration -1 s is -100 frame"),
             ({"train_seconds": 0.01}, "duration 0.01 s is 1 frame"),
+            ({"train_seconds": 10**400}, "0 s is not a finite number of frames"),
             ({"test_len": 0}, "got 0"),
             ({"test_len": -5}, "got -5"),
             ({"min_tests": -3}, "got -3"),
@@ -821,7 +837,7 @@ class TestPhoneticExperiment:
             ({"selectors": ("All", "m", "All")}, "selector 'All' is given more than once"),
         ],
         ids=[
-            "negative-train", "one-frame-train", "zero-test", "negative-test",
+            "negative-train", "one-frame-train", "beyond-float-train", "zero-test", "negative-test",
             "negative-min-tests", "negative-pre", "negative-post", "unknown-sc",
             "unknown-kind", "fractional-test", "boolean-test", "fractional-min-tests",
             "boolean-min-tests", "fractional-pre", "boolean-post", "no-selectors",
@@ -832,6 +848,41 @@ class TestPhoneticExperiment:
         _, corpus = _labeled_corpus()
         with pytest.raises(ConfigurationError, match=re.escape(named)):
             run_phonetic_experiment(corpus, **{"selectors": ("All",), **kwargs})
+
+    @pytest.mark.parametrize(
+        "shape, train_seconds, test_len, seeds, n_tests",
+        [
+            (dict(n_speakers=6, frames_per_speaker=3000, sentence_len_frames=250,
+                  separation=0.3), 15.0, 100, range(4), 90),
+            # the 10 s training boundary falls inside a 300-frame sentence
+            (dict(n_speakers=5, frames_per_speaker=2650, sentence_len_frames=300,
+                  separation=0.2), 10.0, 70, (5, 6), 115),
+        ],
+        ids=["15s-1s", "boundary-inside-a-sentence"],
+    )
+    def test_unwidened_all_is_the_contiguous_balanced_cell(
+        self, shape, train_seconds, test_len, seeds, n_tests
+    ):
+        # kernels tile their sentences, so without widening the All pool is
+        # the stream after the training seconds, cut into the duration
+        # protocol's consecutive blocks: the same tests and decisions
+        test_s = test_len / 100
+        grid = DurationProtocolConfig(
+            (train_seconds,), (test_s,), max_tests_per_speaker=shape["frames_per_speaker"]
+        )
+        for seed in seeds:
+            corpus = make_corpus(SynthCorpusConfig(seed=seed, **shape))
+            phonetic = run_phonetic_experiment(
+                corpus, selectors=("All",), train_seconds=train_seconds, test_len=test_len,
+                min_tests=0, pre_frames=0, post_frames=0,
+            )
+            duration = run_duration_experiment(corpus, grid)
+            for kind in MEASURE_KINDS:
+                got = phonetic.cells[("All", kind)]
+                want = duration.cells[(train_seconds, test_s, kind)]
+                assert got.n_tests == want.n_tests == n_tests
+                assert got.global_accuracy == want.global_accuracy
+                assert got.per_speaker_mean_accuracy == want.per_speaker_mean_accuracy
 
 
 def _duration_grid():

@@ -149,7 +149,6 @@ class TestFactorize:
         fact = factorize(cov)
         np.testing.assert_allclose(fact.inverse @ cov, np.eye(24), atol=1e-8)
         assert np.linalg.norm(fact.inverse @ cov - np.eye(24)) <= 1e-8
-        np.testing.assert_allclose(fact.factor @ fact.factor.T, cov, rtol=1e-9)
 
     def test_loading_reported_for_singular_covariance(self):
         v = np.array([1.0, 2.0, 3.0])
@@ -158,11 +157,32 @@ class TestFactorize:
         assert fact.loading > 0.0
         assert fact.loading == pytest.approx(1e-6 * np.trace(cov) / 3)
         loaded = cov + fact.loading * np.eye(3)
-        np.testing.assert_allclose(fact.factor @ fact.factor.T, loaded, rtol=1e-9)
+        np.testing.assert_allclose(fact.inverse @ loaded, np.eye(3), atol=1e-8)
 
     def test_zero_matrix_rejected_even_with_loading(self):
         with pytest.raises(NotPositiveDefiniteError):
             factorize(np.zeros((3, 3)))
+
+    def test_stack_holds_two_stacks_at_most(self):
+        # the factors are inverted in place and freed before the symmetrized
+        # inverses are allocated, so no third stack-sized array is alive
+        import tracemalloc
+
+        from sosid.gaussian import _factorize_stack
+
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((1000, 24, 48))
+        covs = a @ np.swapaxes(a, 1, 2) / 48 + np.eye(24)
+        del a
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            result = _factorize_stack(covs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 2.5 * covs.nbytes
+        assert len(result) == 3  # loadings, log-dets and inverses; no factors
 
 
 def _blocks_of(frames, n_blocks, block_len):

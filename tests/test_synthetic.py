@@ -72,6 +72,20 @@ class TestSampleSpeakers:
             with pytest.raises(ConfigurationError, match="finite"):
                 SynthCorpusConfig(class_spread=spread)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("n_speakers", 2.5),
+            ("dim", True),
+            ("frames_per_speaker", 100.5),
+            ("sentence_len_frames", "300"),
+            ("seed", 1.5),
+        ],
+    )
+    def test_non_integer_counts_and_seed_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer, got {value!r}"):
+            SynthCorpusConfig(**{name: value})
+
 
 class TestGenerateLabeledFrames:
     def test_kernels_tile_the_sequence_exactly(self):
