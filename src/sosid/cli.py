@@ -7,6 +7,7 @@ synth-corpus. Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -39,8 +40,8 @@ from .frontend import (
 )
 from .gaussian import load_model_store, save_model_store, stack_blocks
 from .identify import ScoreSheet, SpeakerRegistry, score_matrix, score_sheets_csv
-from .measures import MEASURE_KINDS, MU_G, SC_CONVENTIONS, SC_DECOMPOSITION
-from .phonetic import CLASS_ORDER, default_taxonomy, load_taxonomy
+from .measures import MEASURE_KINDS, MU_G, SC_CONVENTIONS
+from .phonetic import load_taxonomy
 from .synthetic import SynthCorpusConfig, write_corpus
 
 
@@ -53,6 +54,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
+
+
+def _given(args, *names) -> dict:
+    """The flags among ``names`` given on the command line; each name is its config field."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _frontend_config(path) -> FrontendConfig:
@@ -102,9 +108,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_identify(args) -> int:
-    if args.measure and len(args.measure) > 1:
+    if args.measures and len(args.measures) > 1:
         raise _UsageError("identify takes a single --measure")
-    kind = args.measure[0] if args.measure else MU_G
+    kind = args.measures[0] if args.measures else MU_G
     registry = SpeakerRegistry(*load_model_store(args.store))
     sheets = []
     # one stack per file: a stack of several files moves scores in their last bits
@@ -119,7 +125,7 @@ def _cmd_identify(args) -> int:
             tests = stack_blocks([vectors[None]])
         except DegenerateModelError as exc:
             raise DegenerateModelError(f"{features_path}: {exc}") from None
-        values = score_matrix(registry, tests, kind, args.sc_convention or SC_DECOMPOSITION)
+        values = score_matrix(registry, tests, kind, **_given(args, "sc_convention"))
         sheets.append(ScoreSheet.from_row(Path(features_path).stem, registry.ids, values[0]))
     _write_or_print(score_sheets_csv(sheets), args.out)
     return 0
@@ -127,11 +133,7 @@ def _cmd_identify(args) -> int:
 
 def _duration_config(args) -> DurationProtocolConfig:
     """The --config file's protocol, with the flags given on the command line over it."""
-    flags = {}
-    if args.measure:
-        flags["measures"] = tuple(args.measure)
-    if args.sc_convention is not None:
-        flags["sc_convention"] = args.sc_convention
+    flags = _given(args, "measures", "sc_convention")
     if args.config is None:
         return DurationProtocolConfig(**flags)
     with json_document(args.config, "protocol config") as doc:
@@ -144,7 +146,7 @@ def _duration_config(args) -> DurationProtocolConfig:
 def _load_eval_corpus(args):
     manifest = load_manifest(args.manifest)
     if args.seed is not None:
-        manifest = type(manifest)(speakers=manifest.speakers, seed=args.seed)
+        manifest = dataclasses.replace(manifest, seed=args.seed)
     return load_corpus(manifest, base_dir=Path(args.manifest).parent)
 
 
@@ -156,31 +158,19 @@ def _cmd_eval_duration(args) -> int:
 
 
 def _cmd_eval_phonetic(args) -> int:
-    cfg = PhoneticProtocolConfig(
-        taxonomy=load_taxonomy(args.taxonomy) if args.taxonomy else default_taxonomy(),
-        selectors=tuple(args.selectors.split(",")) if args.selectors else CLASS_ORDER,
-        measures=tuple(args.measure or MEASURE_KINDS),
-        train_seconds=args.train_seconds,
-        test_len=args.test_frames,
-        min_tests=args.min_tests,
-        sc_convention=args.sc_convention or SC_DECOMPOSITION,
-    )
+    fields = ("selectors", "measures", "train_seconds", "test_len", "min_tests", "sc_convention")
+    given = _given(args, *fields)
+    if args.taxonomy is not None:
+        given["taxonomy"] = load_taxonomy(args.taxonomy)
+    cfg = PhoneticProtocolConfig(**given)
     report = run_phonetic_experiment(_load_eval_corpus(args), cfg)
     _write_or_print(emit_report(report, args.format), args.out)
     return 0
 
 
 def _cmd_synth_corpus(args) -> int:
-    cfg = SynthCorpusConfig(
-        n_speakers=args.speakers,
-        dim=args.dim,
-        separation=args.separation,
-        class_spread=args.class_spread,
-        frame_correlation=args.frame_correlation,
-        frames_per_speaker=args.frames_per_speaker,
-        sentence_len_frames=args.sentence_frames,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    fields = [field.name for field in dataclasses.fields(SynthCorpusConfig)]
+    cfg = SynthCorpusConfig(**_given(args, *fields))
     manifest_path = write_corpus(cfg, args.out)
     print(manifest_path)
     return 0
@@ -196,25 +186,19 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output path (default: stdout)")
 
     seed = _Parser(add_help=False)
-    seed.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="random seed (eval-*: overrides the manifest seed; synth-corpus: default 0)",
-    )
+    seed.add_argument("--seed", type=int, help="random seed (eval-*: overrides the manifest seed)")
 
     measure = _Parser(add_help=False)
     measure.add_argument(
         "--measure",
+        dest="measures",
         action="append",
         choices=MEASURE_KINDS,
-        default=None,
         help="measure kind; repeat for several (default: all three)",
     )
     measure.add_argument(
         "--sc-convention",
         choices=SC_CONVENTIONS,
-        default=None,
         help="mu_sc symmetrization convention (default: decomposition, or an eval-duration "
         "--config file's)",
     )
@@ -249,28 +233,28 @@ def build_parser() -> argparse.ArgumentParser:
         "eval-phonetic", parents=[common, seed, measure], help="run the phonetic-content protocol"
     )
     p.add_argument("--manifest", required=True)
-    p.add_argument("--taxonomy", default=None, help="taxonomy JSON (default: built-in)")
+    p.add_argument("--taxonomy", help="taxonomy JSON (default: built-in)")
     p.add_argument(
         "--selectors",
-        default=None,
-        help=f"comma-separated selectors (default: {','.join(CLASS_ORDER)})",
+        type=lambda text: tuple(text.split(",")),
+        help=f"comma-separated selectors (default: {','.join(PhoneticProtocolConfig.selectors)})",
     )
-    p.add_argument("--train-seconds", type=float, default=15.0)
-    p.add_argument("--test-frames", type=int, default=100)
-    p.add_argument("--min-tests", type=int, default=40)
+    p.add_argument("--train-seconds", type=float)
+    p.add_argument("--test-frames", dest="test_len", type=int)
+    p.add_argument("--min-tests", type=int)
     p.add_argument("--format", choices=("csv", "markdown"), default="csv")
     p.set_defaults(func=_cmd_eval_phonetic)
 
     p = sub.add_parser(
         "synth-corpus", parents=[common, seed], help="write a synthetic corpus and manifest"
     )
-    p.add_argument("--speakers", type=int, default=20)
-    p.add_argument("--dim", type=int, default=24)
-    p.add_argument("--separation", type=float, default=1.0)
-    p.add_argument("--class-spread", type=float, default=0.0)
-    p.add_argument("--frame-correlation", type=float, default=0.0)
-    p.add_argument("--frames-per-speaker", type=int, default=3000)
-    p.add_argument("--sentence-frames", type=int, default=300)
+    p.add_argument("--speakers", dest="n_speakers", type=int)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--separation", type=float)
+    p.add_argument("--class-spread", type=float)
+    p.add_argument("--frame-correlation", type=float)
+    p.add_argument("--frames-per-speaker", type=int)
+    p.add_argument("--sentence-frames", dest="sentence_len_frames", type=int)
     p.set_defaults(func=_cmd_synth_corpus, out_required=True)
 
     return parser

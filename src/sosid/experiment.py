@@ -381,13 +381,12 @@ class DurationProtocolConfig:
             raise ConfigurationError(f"max_tests_per_speaker must be an integer, got {cap!r}")
         if cap < 1:
             raise ConfigurationError("max_tests_per_speaker must be >= 1")
-        # stored as the run uses them, so the digest names the grid that runs
+        # stored as they run (durations as distinct frame counts, longest first),
+        # so the digest names the grid that runs
         object.__setattr__(self, "measures", _checked_measures(self.measures, self.sc_convention))
         for name in ("train_durations", "test_durations"):
-            for duration in getattr(self, name):
-                _seconds_to_frames(duration)
-            grid = sorted(set(map(float, getattr(self, name))), reverse=True)
-            object.__setattr__(self, name, tuple(grid))
+            frames = sorted({_seconds_to_frames(s) for s in getattr(self, name)}, reverse=True)
+            object.__setattr__(self, name, tuple(f / FRAMES_PER_SECOND for f in frames))
 
     def digest(self) -> str:
         return _digest(
@@ -417,8 +416,8 @@ class PhoneticProtocolConfig:
     post_frames: int = DEFAULT_POST_FRAMES
 
     def __post_init__(self):
-        _seconds_to_frames(self.train_seconds)
-        object.__setattr__(self, "train_seconds", float(self.train_seconds))
+        train_f = _seconds_to_frames(self.train_seconds)
+        object.__setattr__(self, "train_seconds", train_f / FRAMES_PER_SECOND)
         for name in ("test_len", "min_tests", "pre_frames", "post_frames"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):

@@ -25,7 +25,6 @@ from .errors import AlignmentError, TaxonomyError, json_document
 
 DEFAULT_PRE_FRAMES = 5
 DEFAULT_POST_FRAMES = 5
-DEFAULT_TEST_FRAMES = 100
 
 # Report order for class selectors.
 CLASS_ORDER = (
@@ -261,7 +260,7 @@ def select_frames(
     return np.concatenate(picked)
 
 
-def assemble_tests(frames, test_len: int = DEFAULT_TEST_FRAMES) -> np.ndarray:
+def assemble_tests(frames, test_len: int) -> np.ndarray:
     """Cut pooled (m, p) frames into a (n_tests, test_len, p) view of consecutive blocks.
 
     Leftover frames shorter than a full test are discarded; zero tests is a

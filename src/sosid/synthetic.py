@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,6 +75,10 @@ class SynthCorpusConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        for name in ("separation", "class_spread", "frame_correlation"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigurationError(f"{name} must be a number, got {value!r}")
         if self.n_speakers < 1 or self.dim < 1:
             raise ConfigurationError("n_speakers and dim must be >= 1")
         # a NaN fails both comparisons

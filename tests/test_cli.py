@@ -11,7 +11,7 @@ import pytest
 
 import sosid
 from sosid.cli import main
-from sosid.experiment import DurationProtocolConfig
+from sosid.experiment import DurationProtocolConfig, PhoneticProtocolConfig
 from sosid.frontend import load_features_csv, save_wav
 from sosid.gaussian import GaussianModel
 from sosid.synthetic import SynthCorpusConfig, write_corpus
@@ -59,6 +59,18 @@ class TestSynthCorpus:
         doc = json.loads((out / "manifest.json").read_text())
         assert doc["seed"] == 5
         assert len(doc["speakers"]) == 2
+
+    def test_absent_flags_leave_the_config_defaults(self, tmp_path):
+        # the CLI passes only the flags given; SynthCorpusConfig fills in the rest
+        cli, lib = tmp_path / "cli", tmp_path / "lib"
+        argv = ["--speakers", "2", "--frames-per-speaker", "400"]
+        assert main(["synth-corpus", "--out", str(cli), *argv]) == 0
+        write_corpus(SynthCorpusConfig(n_speakers=2, frames_per_speaker=400), lib)
+        files = sorted(path.relative_to(lib) for path in lib.rglob("*") if path.is_file())
+        assert files == sorted(path.relative_to(cli) for path in cli.rglob("*") if path.is_file())
+        assert len(files) == 2 * 2 * 2 + 1  # a csv and an ali per sentence of 300 and 100 frames
+        for name in files:
+            assert (cli / name).read_bytes() == (lib / name).read_bytes(), name
 
 
 class TestExtract:
@@ -386,6 +398,11 @@ class TestEvalCommands:
         assert code == 0
         text = out.read_text()
         assert "| All | mu_g |" in text
+
+    def test_eval_phonetic_without_flags_runs_the_default_protocol(self, corpus_dir, tmp_path):
+        out, manifest = tmp_path / "r.csv", str(corpus_dir / "manifest.json")
+        assert main(["eval-phonetic", "--manifest", manifest, "--out", str(out)]) == 0
+        assert f"# config: {PhoneticProtocolConfig().digest()}\n" in out.read_text()
 
     def test_seed_override_changes_report(self, corpus_dir, tmp_path):
         config = tmp_path / "proto.json"

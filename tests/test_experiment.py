@@ -450,16 +450,21 @@ class TestDurationExperiment:
         assert keys[6] == (2.0, 3.0, "mu_g")
 
     def test_config_digest_is_pinned(self):
-        # the digest is written into every duration report
+        # the digest is written into every duration report; 1.004 s runs as 1 s
         assert DurationProtocolConfig().digest() == "22436463faca"
+        grid = (10.0, 6.0, 3.0, 2.0, 1.0, 1.004)
+        assert DurationProtocolConfig(test_durations=grid).digest() == "22436463faca"
 
     def test_measure_order_changes_neither_digest_nor_report(self):
-        # nor does the order, a repeat, or 2 against 2.0 in a duration list:
-        # a config stores the grid that runs, and the digest hashes that
+        # nor does the order, a repeat, 2 against 2.0, or 1.004 against 1 (both
+        # 100 frames) in a duration list: a config stores the grid that runs, and
+        # the digest hashes that
         configs = [
             DurationProtocolConfig((6.0, 3.0), (2.0, 1.0), measures=("mu_sc", "mu_g")),
             DurationProtocolConfig((6.0, 3.0), (2.0, 1.0), measures=("mu_g", "mu_sc")),
-            DurationProtocolConfig((3, 6.0, 3.0), [1, 2], measures=("mu_g", "mu_sc", "mu_g")),
+            DurationProtocolConfig(
+                (3, 6.0, 3.0), [1, 2, 1.004], measures=("mu_g", "mu_sc", "mu_g")
+            ),
         ]
         assert configs[2].train_durations == (6.0, 3.0)
         assert configs[2].test_durations == (2.0, 1.0)
@@ -470,10 +475,13 @@ class TestDurationExperiment:
         assert len(texts) == 1
         phonetic = [
             PhoneticProtocolConfig(selectors=("All",), train_seconds=seconds, measures=measures)
-            for seconds, measures in ((6, ("mu_sc", "mu_g")), (6.0, ("mu_g", "mu_sc")))
+            for seconds, measures in (
+                (6, ("mu_sc", "mu_g")), (6.0, ("mu_g", "mu_sc")), (6.004, ("mu_g", "mu_sc"))
+            )
         ]
         assert phonetic[0].train_seconds == 6.0 and phonetic[0].measures == ("mu_g", "mu_sc")
-        assert phonetic[0].digest() == phonetic[1].digest()
+        assert phonetic[2].train_seconds == 6.0
+        assert len({cfg.digest() for cfg in phonetic}) == 1
         texts = {emit_report(run_phonetic_experiment(corpus, cfg), "csv") for cfg in phonetic}
         assert len(texts) == 1
 
@@ -664,6 +672,7 @@ class TestPhoneticExperiment:
         )
         assert run_phonetic_experiment(corpus).metadata["config"] == "b17597d79428"
         assert PhoneticProtocolConfig().digest() == "b17597d79428"
+        assert PhoneticProtocolConfig(train_seconds=15.004).digest() == "b17597d79428"
 
     def test_config_keyword_and_replace_forms_give_the_same_report(self):
         _, corpus = _labeled_corpus()

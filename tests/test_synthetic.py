@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,10 +81,20 @@ class TestSampleSpeakers:
             ("frames_per_speaker", 100.5),
             ("sentence_len_frames", "300"),
             ("seed", 1.5),
+            ("separation", True),
+            ("class_spread", True),
+            ("frame_correlation", False),
+            ("separation", "1"),
+            ("frame_correlation", "0.5"),
+            ("class_spread", [1]),
         ],
     )
     def test_non_integer_counts_and_seed_rejected(self, name, value):
-        with pytest.raises(ConfigurationError, match=f"{name} must be an integer, got {value!r}"):
+        # the float fields take any real number but a bool
+        floats = ("separation", "class_spread", "frame_correlation")
+        kind = "a number" if name in floats else "an integer"
+        message = re.escape(f"{name} must be {kind}, got {value!r}")
+        with pytest.raises(ConfigurationError, match=message):
             SynthCorpusConfig(**{name: value})
 
 
