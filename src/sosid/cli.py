@@ -153,7 +153,7 @@ def _load_eval_corpus(args):
 def _cmd_eval_duration(args) -> int:
     cfg = _duration_config(args)
     report = run_duration_experiment(_load_eval_corpus(args), cfg)
-    _write_or_print(emit_report(report, args.format), args.out)
+    _write_or_print(emit_report(report, **_given(args, "fmt")), args.out)
     return 0
 
 
@@ -164,7 +164,7 @@ def _cmd_eval_phonetic(args) -> int:
         given["taxonomy"] = load_taxonomy(args.taxonomy)
     cfg = PhoneticProtocolConfig(**given)
     report = run_phonetic_experiment(_load_eval_corpus(args), cfg)
-    _write_or_print(emit_report(report, args.format), args.out)
+    _write_or_print(emit_report(report, **_given(args, "fmt")), args.out)
     return 0
 
 
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", default=None, help="protocol config JSON")
-    p.add_argument("--format", choices=("csv", "markdown"), default="csv")
+    p.add_argument("--format", dest="fmt", choices=("csv", "markdown"))
     p.set_defaults(func=_cmd_eval_duration)
 
     p = sub.add_parser(
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-seconds", type=float)
     p.add_argument("--test-frames", dest="test_len", type=int)
     p.add_argument("--min-tests", type=int)
-    p.add_argument("--format", choices=("csv", "markdown"), default="csv")
+    p.add_argument("--format", dest="fmt", choices=("csv", "markdown"))
     p.set_defaults(func=_cmd_eval_phonetic)
 
     p = sub.add_parser(

@@ -258,8 +258,9 @@ def _outcomes(fn, items: list, conns: list) -> list:
 
     ``conns[w]`` sends the outcomes of items w, w + P, w + 2P, ... in order,
     and this process computes items P - 1, 2P - 1, ... itself. After each of
-    its own it reads every pipe that is ready, so that no worker waits long
-    for this process to take its results.
+    its own it reads every outcome that is ready on every pipe, so that no
+    worker waits long for this process to take its results: one outcome of
+    a sentence read can nearly fill a pipe.
     """
     processes = len(conns) + 1
     outcomes = [None] * len(items)
@@ -271,7 +272,8 @@ def _outcomes(fn, items: list, conns: list) -> list:
     def receive(timeout):
         busy = [conn for conn in conns if pending[conn]]
         for conn in multiprocessing.connection.wait(busy, timeout):
-            outcomes[pending[conn].popleft()] = conn.recv()
+            while pending[conn] and conn.poll():
+                outcomes[pending[conn].popleft()] = conn.recv()
 
     for j in range(processes - 1, len(items), processes):
         outcomes[j] = _outcome(fn, items[j])

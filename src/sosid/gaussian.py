@@ -23,6 +23,10 @@ from .errors import DegenerateModelError, NotPositiveDefiniteError, SosidError, 
 # from short material fails to factorize: lambda = scale * trace(cov) / p.
 DEFAULT_LOADING_SCALE = 1e-6
 
+# Models per pass wherever a stack-sized intermediate is computed a chunk at
+# a time; bounds each work buffer to this many rows.
+_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class GaussianModel:
@@ -88,15 +92,20 @@ def _check_count(count: int, dim: int) -> None:
 def _ml_moments(sums, outers, counts):
     """Stacked means and ML (1/M) covariances from raw moment sums, in one pass.
 
-    The covariances are finalized in ``outers``' own buffer, which is left
-    overwritten; only the symmetrized result is a new array.
+    The covariances are finalized and symmetrized in ``outers``' own buffer,
+    which is returned as them; only a chunk-sized work buffer is new.
     """
     means = sums / counts[:, None]
-    outers /= counts[:, None, None]
-    outers -= means[:, :, None] * means[:, None, :]
-    covs = outers + np.swapaxes(outers, 1, 2)
-    covs /= 2.0
-    return means, covs
+    work = np.empty((min(len(outers), _CHUNK), *outers.shape[1:]))
+    for lo in range(0, len(outers), _CHUNK):
+        rows = slice(lo, lo + _CHUNK)
+        covs = outers[rows]
+        w = work[: len(covs)]
+        covs /= counts[rows, None, None]
+        covs -= np.multiply(means[rows, :, None], means[rows, None, :], out=w)
+        np.add(covs, np.swapaxes(covs, 1, 2), out=w)
+        np.divide(w, 2.0, out=covs)
+    return means, outers
 
 
 @dataclass(frozen=True)
@@ -173,14 +182,18 @@ def _factorize_stack(covs, singular=None):
             factors[i], loadings[i] = _cholesky_with_loading(cov, singular[i])
     log_dets = 2.0 * np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1)
     # inverse = L^-T L^-1; a positive Cholesky diagonal makes trtri succeed.
-    # Inverted in place by index: a loop variable would keep ``factors`` alive past its del
+    # Each factor is inverted in place, then overwritten by its symmetrized
+    # inverse a chunk at a time, so the factors' buffer holds the inverses.
     for i in range(len(factors)):
         factors[i] = scipy.linalg.lapack.dtrtri(factors[i], lower=1)[0]
-    inverses = np.swapaxes(factors, 1, 2) @ factors
-    del factors
-    symmetric = inverses + np.swapaxes(inverses, 1, 2)
-    symmetric /= 2.0
-    return loadings, log_dets, symmetric
+    work = np.empty((min(len(factors), _CHUNK), *factors.shape[1:]))
+    for lo in range(0, len(factors), _CHUNK):
+        chunk = factors[lo : lo + _CHUNK]
+        w = work[: len(chunk)]
+        np.matmul(np.swapaxes(chunk, 1, 2), chunk, out=w)
+        np.add(w, np.swapaxes(w, 1, 2), out=chunk)
+        chunk /= 2.0
+    return loadings, log_dets, factors
 
 
 @dataclass(frozen=True)
@@ -318,13 +331,14 @@ def stack_moments(moments) -> ModelStack:
     from p frames or fewer has rank below p, so it is loaded even where
     rounding would let its Cholesky factorization through.
 
-    The moments are consumed: the outer-product sums are finalized in place,
-    so pass arrays that nothing else reads afterwards.
+    The moments are consumed: the outer-product sums are finalized in place
+    and the returned stack's ``covs`` *is* their buffer, so pass arrays that
+    nothing else reads or writes afterwards.
     """
     sums, outers, counts = moments
     del moments  # this frame's references are then the only ones to the raw sums
     means, covs = _ml_moments(sums, outers, counts)
-    del sums, outers  # raw moments are not needed while factorizing
+    del sums  # the raw sums are not needed while factorizing
     try:
         return _factorized(means, covs, counts, singular=counts <= covs.shape[-1])
     except NotPositiveDefiniteError as exc:

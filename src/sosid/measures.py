@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gaussian import GaussianModel, ModelStack, stack_models
+from .gaussian import _CHUNK as _QUAD_CHUNK, GaussianModel, ModelStack, stack_models
 
 MU_G = "mu_g"
 MU_GC = "mu_gc"
@@ -45,9 +45,6 @@ MEASURE_KINDS = (MU_G, MU_GC, MU_SC)
 SC_DECOMPOSITION = "decomposition"
 SC_AS_PRINTED = "as-printed"
 SC_CONVENTIONS = (SC_DECOMPOSITION, SC_AS_PRINTED)
-
-# Tests per pass of the mu_g mean term; bounds its work buffer.
-_QUAD_CHUNK = 64
 
 
 def measure_matrices(
@@ -100,15 +97,16 @@ def measure_matrices(
 def _mean_term(a, b, refs: ModelStack, tests: ModelStack) -> np.ndarray:
     """(1/p) diff^T [a X^-1 + b Y^-1] diff for every test/reference pair."""
     (n_t, n_r), p = a.shape, refs.dim
-    diff = tests.means[:, None, :] - refs.means[None, :, :]
     quad_ref = np.empty((n_t, n_r))
     quad_test = np.empty((n_t, n_r))
-    # The work buffer holds at most _QUAD_CHUNK tests, so diff stays the
-    # only (n_tests, n_refs, p) array.
-    work = np.empty((min(n_t, _QUAD_CHUNK), n_r, p))
+    # diff and the work buffer hold at most _QUAD_CHUNK tests each, so no
+    # (n_tests, n_refs, p) array is ever allocated.
+    diff = np.empty((min(n_t, _QUAD_CHUNK), n_r, p))
+    work = np.empty_like(diff)
     for lo in range(0, n_t, _QUAD_CHUNK):
         rows = slice(lo, lo + _QUAD_CHUNK)
-        d = diff[rows]
+        means = tests.means[rows]
+        d = np.subtract(means[:, None, :], refs.means[None, :, :], out=diff[: len(means)])
         w = work[: len(d)]
         # diff^T Y^-1 diff, batched over tests
         np.matmul(d, tests.inverses[rows], out=w)

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import re
+import time
 import warnings
 from unittest import mock
 
@@ -344,6 +345,33 @@ class TestWriteCorpusWorkers:
         assert raised[0] == raised[1]
         assert str(tmp_path / "*" / "corpus" / blocked[0]) in raised[0]
         assert messages[0] == messages[1] == f"error: {raised[0]}\n"
+
+
+class TestOrderedMap:
+    def test_reads_every_ready_outcome_after_each_own_item(self, cpus, monkeypatch):
+        cpus(2)  # the worker takes items 0, 2, 4, 6 and this process 1, 3, 5, 7
+        caller = os.getpid()
+        received = []
+        recv = multiprocessing.connection.Connection.recv
+
+        def counting_recv(conn):
+            received.append(None)
+            return recv(conn)
+
+        monkeypatch.setattr(multiprocessing.connection.Connection, "recv", counting_recv)
+        seen = {}
+
+        def fn(item):
+            if os.getpid() == caller:
+                seen[item] = len(received)
+                # sleep until the worker has sent all its outcomes and exited
+                deadline = time.monotonic() + 30
+                while multiprocessing.active_children() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            return item
+
+        assert experiment._ordered_map(fn, list(range(8))) == list(range(8))
+        assert seen == {1: 0, 3: 4, 5: 4, 7: 4}
 
 
 def _easy_corpus(n_speakers=2, frames=2600, seed=0, separation=8.0):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from sosid.errors import DegenerateModelError, NotPositiveDefiniteError, SosidEr
 from sosid.gaussian import (
     DEFAULT_LOADING_SCALE,
     GaussianModel,
+    _factorize_stack,
     factorize,
     load_model_store,
     save_model_store,
@@ -24,6 +26,18 @@ from sosid.gaussian import (
 def _random_spd(rng, p, scale=1.0):
     a = rng.standard_normal((p, p))
     return scale * (a @ a.T) + np.eye(p)
+
+
+def _traced_peak(fn, *args):
+    """(peak bytes traced above the entry level while ``fn(*args)`` ran, its result)."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start, result
 
 
 class TestFromFrames:
@@ -164,12 +178,8 @@ class TestFactorize:
             factorize(np.zeros((3, 3)))
 
     def test_stack_holds_two_stacks_at_most(self):
-        # the factors are inverted in place and freed before the symmetrized
-        # inverses are allocated, so no third stack-sized array is alive
-        import tracemalloc
-
-        from sosid.gaussian import _factorize_stack
-
+        # the factors are inverted in place and then overwritten by the
+        # symmetrized inverses, so no third stack-sized array is alive
         rng = np.random.default_rng(8)
         a = rng.standard_normal((1000, 24, 48))
         covs = a @ np.swapaxes(a, 1, 2) / 48 + np.eye(24)
@@ -183,6 +193,15 @@ class TestFactorize:
             tracemalloc.stop()
         assert peak - start < 2.5 * covs.nbytes
         assert len(result) == 3  # loadings, log-dets and inverses; no factors
+
+    def test_inverses_are_written_into_the_factors_buffer(self):
+        # one stack for the factors, which become the inverses, and chunk-sized work
+        a = np.random.default_rng(8).standard_normal((1000, 24, 48))
+        covs = a @ np.swapaxes(a, 1, 2) / 48 + np.eye(24)
+        del a
+        peak, (_, _, inverses) = _traced_peak(_factorize_stack, covs)
+        assert peak < 1.3 * covs.nbytes
+        assert inverses.shape == covs.shape
 
 
 def _blocks_of(frames, n_blocks, block_len):
@@ -320,6 +339,34 @@ class TestStackMoments:
             np.testing.assert_array_equal(stack.covs[i], cov)
             np.testing.assert_array_equal(stack.inverses[i], inverse)
             assert stack.loadings[i] == loading
+
+    def test_rows_across_chunks_equal_out_of_place_formulas(self):
+        # 130 rows span three chunks; row 64, the second chunk's first, is loaded
+        rng = np.random.default_rng(3)
+        dim = 5
+        lengths = [3 if i == 64 else 20 + i % 7 for i in range(130)]
+        blocks = [rng.standard_normal((n, dim)) + 3.0 for n in lengths]
+        sums = np.stack([block.sum(axis=0) for block in blocks])
+        outers = np.stack([block.T @ block for block in blocks])
+        outers[:, 0, 1] += 1e-9 * np.arange(130)  # asymmetric raw sums
+        counts = np.array([len(block) for block in blocks], dtype=float)
+        want = _out_of_place_rows(sums, outers, counts)
+        stack = stack_moments((sums, outers, counts))
+        assert np.flatnonzero(stack.loadings).tolist() == [64]
+        for i, (mean, cov, inverse, loading) in enumerate(want):
+            np.testing.assert_array_equal(stack.means[i], mean)
+            np.testing.assert_array_equal(stack.covs[i], cov)
+            np.testing.assert_array_equal(stack.inverses[i], inverse)
+            assert stack.loadings[i] == loading
+
+    def test_covariances_are_finalized_in_the_outer_sums_buffer(self):
+        a = np.random.default_rng(9).standard_normal((1000, 48, 24))
+        sums, outers = a.sum(axis=1), np.swapaxes(a, 1, 2) @ a
+        del a
+        peak, stack = _traced_peak(stack_moments, (sums, outers, np.full(1000, 48.0)))
+        # the inverses' stack and chunk-sized work, beside the consumed moments
+        assert peak < 1.3 * outers.nbytes
+        assert stack.covs is outers
 
 
 class TestModelStore:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,36 @@ class TestMeasureMatrix:
         for t, test in enumerate(tests):
             row = measure_matrices((kind,), refs, stack_models([test]))[kind][0]
             np.testing.assert_allclose(matrix[t], row, rtol=1e-12, atol=1e-12)
+
+    def test_mean_term_across_chunks_equals_the_unchunked_formula(self):
+        rng = np.random.default_rng(12)
+        refs = stack_models([_random_pair(rng, 5)[0] for _ in range(7)])
+        tests = stack_models([_random_pair(rng, 5)[1] for _ in range(200)])
+        matrices = measure_matrices((MU_G, MU_GC), refs, tests)
+        total = refs.counts[None, :] + tests.counts[:, None]
+        a, b = refs.counts[None, :] / total, tests.counts[:, None] / total
+        diff = tests.means[:, None, :] - refs.means[None, :, :]
+        quad_test = np.einsum("trp,trp->tr", diff @ tests.inverses, diff)
+        quad_ref = np.einsum(
+            "trp,trp->tr", (diff.transpose(1, 0, 2) @ refs.inverses).transpose(1, 0, 2), diff
+        )
+        mean_term = (a * quad_ref + b * quad_test) / 5
+        assert np.array_equal(matrices[MU_G], matrices[MU_GC] + mean_term)
+
+    def test_holds_no_test_by_reference_by_dimension_array(self):
+        # 1000 tests against 20 references: a whole (1000, 20, 24) diff would
+        # be 0.83 of the test stack's covariances
+        rng = np.random.default_rng(4)
+        refs = stack_blocks([rng.standard_normal((20, 200, 24))])
+        tests = stack_blocks([rng.standard_normal((1000, 48, 24))])
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            measure_matrices(MEASURE_KINDS, refs, tests)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 0.7 * tests.covs.nbytes
 
 
 class TestMeasureMatrices:
