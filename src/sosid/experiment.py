@@ -17,6 +17,9 @@ class selector are pooled per speaker, and the pool is cut into fixed
 one-second tests. It reads each sentence's own frame array and never
 concatenates a whole stream, so it holds the corpus once.
 
+Either protocol builds, factorizes and scores a cell's tests ``_CELL_CHUNK``
+at a time, so no process holds a whole cell's models.
+
 Reported metrics per cell: the global percentage of correct decisions over
 all tests, and the unweighted mean over speakers of each speaker's own
 percentage.
@@ -45,6 +48,7 @@ from .errors import (
     ConfigurationError,
     DegenerateModelError,
     InsufficientDataError,
+    NotPositiveDefiniteError,
     SosidError,
     json_document,
 )
@@ -54,7 +58,7 @@ from .frontend import (
     load_features_csv,
     load_wav,
 )
-from .gaussian import SegmentMoments, stack_blocks, stack_moments
+from .gaussian import SegmentMoments, _check_count, _factorize_stack, _raw_moments, stack_moments
 from .identify import SpeakerRegistry, decisions_from_scores
 from .measures import MEASURE_KINDS, SC_CONVENTIONS, SC_DECOMPOSITION, measure_matrices
 from .phonetic import (
@@ -70,6 +74,14 @@ from .phonetic import (
 )
 
 FRAMES_PER_SECOND = 100  # 10 ms frame period
+
+# Tests per chunk of a cell: each chunk is built, factorized and scored, and
+# dropped, before the next is built, so a cell never holds all its models.
+_CELL_CHUNK = 256
+
+# Selected frames pooled before they are cut into tests; at p = 24 such a pool
+# takes a sixth of the bytes of a chunk's covariances.
+_POOL_FRAMES = 1024
 
 # Stream tag separating the sentence-shuffle RNG from data-generation RNGs
 # that may share the same corpus seed.
@@ -561,32 +573,98 @@ def _reference_registry(ids, moments: SegmentMoments, train_f: int) -> SpeakerRe
         raise DegenerateModelError(f"reference from {train_f} training vectors: {exc}") from exc
 
 
-def _score_cells(registry, tests, owners, kinds, sc_convention, min_tests=None) -> dict:
-    """One cell per measure kind: every test of a stack scored against every speaker.
-
-    All kinds come from one ``measure_matrices`` call, so the terms they
-    share are computed once per cell.
+def _chunk_stack(moments, owners, where: str):
+    """:func:`stack_moments` of one chunk; a covariance that does not factorize
+    is a DegenerateModelError naming the cell ``where`` and the test's speaker.
     """
-    n_loaded = int(np.count_nonzero(tests.loadings))
+    try:
+        return stack_moments(moments)
+    except DegenerateModelError as exc:
+        # stack_moments finalized the covariances in place; the first one that
+        # fails on its own, under the same loading policy, is the one that failed
+        _, covs, counts = moments
+        for row, owner in enumerate(owners):
+            try:
+                _factorize_stack(covs[row : row + 1], counts[row : row + 1] <= covs.shape[-1])
+            except NotPositiveDefiniteError:
+                raise DegenerateModelError(f"{where}, speaker {owner}: {exc}") from exc
+        raise
+
+
+def _score_cells(registry, chunks, kinds, sc_convention, min_tests=None, where="") -> dict:
+    """One cell per measure kind: every test scored against every speaker.
+
+    ``chunks`` yields ((sums, outers, counts), owners) pairs of raw test
+    moments and their speakers. Each chunk is finalized, factorized, scored
+    and reduced to decisions, and its stack dropped, before the next is
+    pulled; all kinds of a chunk come from one ``measure_matrices`` call, so
+    the terms they share are computed once.
+    """
+    owners, decisions, n_loaded = [], {kind: [] for kind in kinds}, 0
+    for moments, chunk_owners in chunks:
+        tests = _chunk_stack(moments, chunk_owners, where)
+        n_loaded += int(np.count_nonzero(tests.loadings))
+        for kind, values in measure_matrices(kinds, registry.stack, tests, sc_convention).items():
+            decisions[kind] += decisions_from_scores(registry, values)
+        owners += chunk_owners
+        del moments, tests  # else this chunk's models live on while the next is built
     # with a minimum set, a cell without tests is low-count even at min_tests 0
     low = min_tests is not None and len(owners) < max(min_tests, 1)
     cells = {}
-    for kind, values in measure_matrices(kinds, registry.stack, tests, sc_convention).items():
-        decisions = decisions_from_scores(registry, values)
+    for kind, kind_decisions in decisions.items():
         results = [
-            (owner, decision == owner) for owner, decision in zip(owners, decisions)
+            (owner, decision == owner) for owner, decision in zip(owners, kind_decisions)
         ]
         accuracies = compute_metrics(results) if results else (0.0, 0.0)
         cells[kind] = ReportCell(*accuracies, len(results), low_count=low, n_loaded=n_loaded)
     return cells
 
 
+def _sliced(moments, owners):
+    """Chunks of a (sums, outers, counts) triple and its owners: views of at most
+    ``_CELL_CHUNK`` rows each."""
+    for lo in range(0, len(owners), _CELL_CHUNK):
+        rows = slice(lo, lo + _CELL_CHUNK)
+        yield tuple(m[rows] for m in moments), owners[rows]
+
+
+def _filled(pieces, test_len: int):
+    """Chunks of ``_CELL_CHUNK`` tests, and a last one of the rest, copied in order
+    from (owner, sums, outers) pieces of ``test_len``-frame tests into buffers of
+    their own, so the caller may finalize them in place."""
+    sums = outers = None
+    owners = []
+    for owner, piece_sums, piece_outers in pieces:
+        done = 0
+        while done < len(piece_sums):
+            if sums is None:
+                sums = np.empty((_CELL_CHUNK, *piece_sums.shape[1:]))
+                outers = np.empty((_CELL_CHUNK, *piece_outers.shape[1:]))
+            lo = len(owners)
+            take = min(_CELL_CHUNK - lo, len(piece_sums) - done)
+            sums[lo : lo + take] = piece_sums[done : done + take]
+            outers[lo : lo + take] = piece_outers[done : done + take]
+            owners += [owner] * take
+            done += take
+            if len(owners) == _CELL_CHUNK:
+                yield (sums, outers, np.full(_CELL_CHUNK, float(test_len))), owners
+                sums = outers = None
+                owners = []
+    if owners:
+        n = len(owners)
+        yield (sums[:n], outers[:n], np.full(n, float(test_len))), owners
+
+
 def _report(protocol, axes, seed, cfg, cells: list, min_tests=None):
     """The report of every (coords, build) cell, for each of ``cfg``'s measures.
 
-    ``build()`` returns the cell's (registry, tests, owners). Cells are built
-    and scored on every CPU this process may use, as :func:`_ordered_map`
-    says, and only their :class:`ReportCell` dicts come back, in cell order.
+    ``build()`` returns the cell's registry and an iterator of its tests'
+    ((sums, outers, counts), owners) chunks, at most ``_CELL_CHUNK`` tests
+    each; :func:`_score_cells` scores one chunk at a time, so the process
+    scoring a cell holds one chunk's models, never the whole cell's. Cells
+    are built and scored on every CPU this process may use, as
+    :func:`_ordered_map` says, and only their :class:`ReportCell` dicts come
+    back, in cell order.
     """
     report = ExperimentReport(
         axes=(*axes, "measure"),
@@ -594,8 +672,9 @@ def _report(protocol, axes, seed, cfg, cells: list, min_tests=None):
     )
 
     def score(cell):
-        _, build = cell
-        return _score_cells(*build(), cfg.measures, cfg.sc_convention, min_tests)
+        coords, build = cell
+        where = ", ".join(f"{a} {_format_axis_value(v)}" for a, v in zip(axes, coords))
+        return _score_cells(*build(), cfg.measures, cfg.sc_convention, min_tests, where)
 
     for (coords, _), by_kind in zip(cells, _ordered_map(score, cells)):
         for kind, cell in by_kind.items():
@@ -640,7 +719,7 @@ def run_duration_experiment(
     def build(registry, train_f, test_f):
         bounds = [_test_bounds(n, train_f, test_f, cap) for n in n_frames]
         owners = [sid for sid, b in zip(ids, bounds) for _ in range(len(b) - 1)]
-        return registry, stack_moments(moments.spans(bounds)), owners
+        return registry, _sliced(moments.spans(bounds), owners)
 
     cells = [
         ((train_s, test_s), functools.partial(build, registry, train_f, test_f))
@@ -688,6 +767,36 @@ def _test_segments(speaker_id, placed, train_f: int, pre_frames: int, post_frame
     return sentences
 
 
+def _pooled_moments(tests, selector, taxonomy, test_len: int):
+    """(speaker id, sums, outers): raw moments of the tests of each (speaker
+    id, (frames, segments) sentences) pair, a few sentences at a time.
+
+    A speaker's tests are the frames of its sentences that match
+    ``selector``, pooled in order and cut into consecutive ``test_len``-frame
+    blocks. Sentences are pooled until ``_POOL_FRAMES`` frames are waiting,
+    and the frames after the last whole test begin the next pool, so the
+    blocks are those of the speaker's whole pool without ever copying it. A
+    speaker with tests gets one count check, as a block set of
+    :func:`~sosid.gaussian.stack_blocks` does.
+    """
+    for speaker_id, sentences in tests:
+        pending, checked = [], False
+        for index, (frames, segments) in enumerate(sentences, 1):
+            pending.append(select_frames(frames, segments, selector, taxonomy))
+            if sum(map(len, pending)) < _POOL_FRAMES and index < len(sentences):
+                continue
+            pool = np.concatenate(pending)
+            n = len(pool) // test_len
+            pending = [pool[n * test_len :].copy()]
+            if n:
+                if not checked:
+                    _check_count(test_len, pool.shape[1])
+                    checked = True
+                moments = _raw_moments(assemble_tests(pool, test_len))
+                del pool  # only the moments and the frames left over wait on the consumer
+                yield (speaker_id, *moments)
+
+
 def run_phonetic_experiment(
     corpus: LoadedCorpus, cfg: PhoneticProtocolConfig | None = None, **fields
 ) -> ExperimentReport:
@@ -718,20 +827,8 @@ def run_phonetic_experiment(
     registry = _reference_registry(ids, SegmentMoments(leading_frames()), train_f)
 
     def build(selector):
-        owners = []
-
-        def speaker_tests():
-            # one speaker's pooled frames alive at a time
-            for speaker_id, sentences in tests:
-                picked = [
-                    select_frames(frames, segments, selector, cfg.taxonomy)
-                    for frames, segments in sentences
-                ]
-                blocks = assemble_tests(np.concatenate(picked), cfg.test_len)
-                owners.extend([speaker_id] * len(blocks))
-                yield blocks
-
-        return registry, stack_blocks(speaker_tests()), owners
+        pieces = _pooled_moments(tests, selector, cfg.taxonomy, cfg.test_len)
+        return registry, _filled(pieces, cfg.test_len)
 
     cells = [((selector,), functools.partial(build, selector)) for selector in cfg.selectors]
     return _report("phonetic", ("selector",), corpus.seed, cfg, cells, cfg.min_tests)

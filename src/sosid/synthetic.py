@@ -153,16 +153,22 @@ def generate_labeled_frames(
         import scipy.signal
 
         noise = scipy.signal.lfilter([1.0], [1.0, -correlation], driven, axis=0)
-    offsets = np.stack([speaker.class_offsets[label] for label in labels])
+    if not labels:
+        raise ValueError("need at least one label to draw a frame")
+    names = list(speaker.class_offsets)
+    index = {name: code for code, name in enumerate(names)}
+    codes = np.array([index[label] for label in labels])
+    offsets = np.stack([speaker.class_offsets[name] for name in names])[codes]
     frames = noise + speaker.base_mean + offsets
 
-    entries = []
-    start = 0
-    for position in range(1, len(labels) + 1):
-        if position == len(labels) or labels[position] != labels[start]:
-            entries.append((labels[start], start, position - 1))
-            start = position
-    track = AlignmentTrack(sentence_id=sentence_id, entries=tuple(entries))
+    # one kernel per maximal run of equal labels
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    ends = np.append(starts[1:], len(labels)) - 1
+    entries = tuple(
+        (names[code], start, end)
+        for code, start, end in zip(codes[starts].tolist(), starts.tolist(), ends.tolist())
+    )
+    track = AlignmentTrack(sentence_id=sentence_id, entries=entries)
     return SpectralFrames(vectors=frames), track
 
 

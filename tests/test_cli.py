@@ -12,7 +12,7 @@ import pytest
 import sosid
 from sosid.cli import main
 from sosid.experiment import DurationProtocolConfig, PhoneticProtocolConfig
-from sosid.frontend import load_features_csv, save_wav
+from sosid.frontend import load_features_csv, save_features_csv, save_wav
 from sosid.gaussian import GaussianModel
 from sosid.synthetic import SynthCorpusConfig, write_corpus
 
@@ -468,6 +468,39 @@ class TestEvalCommands:
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 1
+
+    def test_phonetic_test_that_does_not_factorize_names_its_cell(self, tmp_path, capsys):
+        # widened kernels repeat frames, so some 2-frame test holds one frame twice
+        cfg = SynthCorpusConfig(
+            n_speakers=2, dim=4, frames_per_speaker=400, sentence_len_frames=200
+        )
+        manifest = write_corpus(cfg, tmp_path / "corpus")
+        args = ["eval-phonetic", "--manifest", str(manifest), "--test-frames", "2"]
+        with pytest.warns(RuntimeWarning, match="rank deficient"):
+            code = main([*args, "--min-tests", "0", "--train-seconds", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        named = r"error: selector \w+, speaker spk00[01]: covariance of a frame block is not"
+        assert re.match(named, err), err
+
+    def test_duration_test_that_does_not_factorize_names_its_cell(self, tmp_path, capsys):
+        # every frame of spk001 comes twice in a row, so each of its 2-frame tests
+        # after 1 s of training holds one frame twice
+        cfg = SynthCorpusConfig(
+            n_speakers=2, dim=4, frames_per_speaker=400, sentence_len_frames=200, seed=1
+        )
+        manifest = write_corpus(cfg, tmp_path / "corpus")
+        for path in sorted((tmp_path / "corpus" / "spk001").glob("*.csv")):
+            frames = load_features_csv(path).vectors
+            frames[1::2] = frames[0::2]
+            save_features_csv(frames, path)
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({"train_durations": [1], "test_durations": [0.02]}))
+        args = ["eval-duration", "--manifest", str(manifest), "--config", str(config)]
+        with pytest.warns(RuntimeWarning, match="rank deficient"):
+            assert main(args) == 2
+        named = "error: train_s 1, test_s 0.02, speaker spk001: covariance of a frame block"
+        assert capsys.readouterr().err.startswith(named)
 
     def test_bad_measure_choice_is_usage_error(self, tmp_path):
         assert main(["identify", "--store", str(tmp_path), "--measure", "nope", "x.csv"]) == 1

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -39,8 +40,17 @@ from sosid.experiment import (
     run_phonetic_experiment,
 )
 from sosid.frontend import save_wav
-from sosid.gaussian import GaussianModel, factorize, stack_blocks
-from sosid.measures import MEASURE_KINDS
+from sosid.gaussian import (
+    GaussianModel,
+    ModelStack,
+    _block_moments,
+    _concat_moments,
+    factorize,
+    stack_blocks,
+    stack_moments,
+)
+from sosid.identify import SpeakerRegistry
+from sosid.measures import MEASURE_KINDS, measure_matrices
 from sosid.phonetic import assemble_tests, default_taxonomy, expand_kernels, select_frames
 from sosid.synthetic import SynthCorpusConfig, make_corpus, write_corpus
 
@@ -599,6 +609,21 @@ def _assert_close_to_blocks(got, want):
     assert np.all(np.abs(got.means - want.means).max(axis=1) <= 1e-10 * mean_scale)
 
 
+def _materialized(chunks) -> tuple:
+    """A cell's chunks, drawn: their stacks as one (``None`` without tests), their
+    owners as one list, and an iterator of copies of the chunks to score.
+
+    Every chunk but the last holds ``_CELL_CHUNK`` tests.
+    """
+    chunks = [(tuple(m.copy() for m in moments), list(owners)) for moments, owners in chunks]
+    sizes = [len(owners) for _, owners in chunks]
+    assert all(size == experiment._CELL_CHUNK for size in sizes[:-1])
+    assert all(0 < size <= experiment._CELL_CHUNK for size in sizes)
+    stacks = [stack_moments(tuple(m.copy() for m in moments)) for moments, _ in chunks]
+    tests = functools.reduce(ModelStack.append, stacks) if stacks else None
+    return tests, [owner for _, owners in chunks for owner in owners], iter(chunks)
+
+
 class TestSegmentMomentsGrid:
     """The duration protocol's models, summed from segment moments, equal
     per-block estimates from the concatenated stream."""
@@ -609,16 +634,19 @@ class TestSegmentMomentsGrid:
         corpus, cfg = case
         seen = []
 
-        def spy(registry, tests, owners, *args):
-            seen.append((registry, tests, list(owners)))
-            return score_cells(registry, tests, owners, *args)
+        def spy(registry, chunks, *args):
+            tests, owners, chunks = _materialized(chunks)
+            seen.append((registry, tests, owners))
+            return score_cells(registry, chunks, *args)
 
         score_cells = experiment._score_cells
         # on one CPU every cell is scored in this process, where the spy sees it
         one_cpu = mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True)
+        # chunks of 5 tests, so that cells of up to 18 tests span several
+        small_chunks = mock.patch.object(experiment, "_CELL_CHUNK", 5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # short blocks
-            with mock.patch.object(experiment, "_score_cells", spy), one_cpu:
+            with mock.patch.object(experiment, "_score_cells", spy), one_cpu, small_chunks:
                 report = run_duration_experiment(corpus, cfg)
 
             streams = experiment._speaker_streams(corpus)
@@ -643,12 +671,58 @@ class TestSegmentMomentsGrid:
                     blocks.append(block.reshape(n, test_f, concat.shape[1]))
                     want_owners += [speaker_id] * n
                 want = stack_blocks(blocks)
-                _assert_close_to_blocks(tests, want)
+                if tests is None:
+                    assert len(want) == 0
+                else:
+                    _assert_close_to_blocks(tests, want)
                 assert owners == want_owners
                 for kind in cfg.measures:
                     cell = report.cells[(train_s, test_s, kind)]
                     assert cell.n_tests == len(want)
                     assert cell.n_loaded == np.count_nonzero(want.loadings)
+
+
+class TestScoreCells:
+    def test_chunks_score_as_one_stack(self):
+        # 600 tests in chunks of 256, 256 and 88, the loaded one first in the
+        # second chunk, against one measure_matrices call over the whole stack
+        rng = np.random.default_rng(7)
+        dim, ids = 8, ["a", "b", "c"]
+        centres = rng.standard_normal((3, dim))
+        registry = SpeakerRegistry(
+            ids, stack_blocks([centres[:, None] + rng.standard_normal((3, 200, dim))])
+        )
+        owners = [ids[i] for i in rng.integers(3, size=600)]
+        codes = [ids.index(owner) for owner in owners]
+        blocks = [
+            centres[codes[:256], None] + rng.standard_normal((256, 30, dim)),
+            centres[codes[256:257], None] + rng.standard_normal((1, dim, dim)),
+            centres[codes[257:], None] + rng.standard_normal((343, 30, dim)),
+        ]
+        with pytest.warns(RuntimeWarning, match="rank deficient"):  # dim frames: loaded
+            moments = _concat_moments(map(_block_moments, blocks))
+        want_tests = stack_moments(tuple(m.copy() for m in moments))
+        want = measure_matrices(MEASURE_KINDS, registry.stack, want_tests)
+        assert np.count_nonzero(want_tests.loadings) == 1 and want_tests.loadings[256] > 0
+
+        chunk_scores = []
+
+        def recorded(*args):
+            chunk_scores.append(measure_matrices(*args))
+            return chunk_scores[-1]
+
+        with mock.patch.object(experiment, "measure_matrices", recorded):
+            cells = experiment._score_cells(
+                registry, experiment._sliced(moments, owners), MEASURE_KINDS, "decomposition"
+            )
+        assert [len(scores["mu_g"]) for scores in chunk_scores] == [256, 256, 88]
+        for kind in MEASURE_KINDS:
+            got = np.concatenate([scores[kind] for scores in chunk_scores])
+            np.testing.assert_allclose(got, want[kind], rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(got.argmin(axis=1), want[kind].argmin(axis=1))
+            decisions = [ids[i] for i in want[kind].argmin(axis=1)]
+            results = [(owner, decision == owner) for owner, decision in zip(owners, decisions)]
+            assert cells[kind] == ReportCell(*compute_metrics(results), 600, n_loaded=1)
 
 
 def _labeled_corpus(seed=0, class_spread=0.0, n_speakers=3, frames=3000):
@@ -773,13 +847,18 @@ class TestPhoneticExperiment:
         selectors = ("All", "Vowels", "m", "LiquidsGlides")
         seen = []
 
-        def spy(registry, tests, owners, *args):
-            seen.append((tests, list(owners)))
-            return score_cells(registry, tests, owners, *args)
+        def spy(registry, chunks, *args):
+            tests, owners, chunks = _materialized(chunks)
+            seen.append((tests, owners))
+            return score_cells(registry, chunks, *args)
 
         score_cells = experiment._score_cells
         cpus(1)  # every cell is scored in this process, where the spy sees it
-        with mock.patch.object(experiment, "_score_cells", spy):
+        # chunks of 50 tests, so that chunk edges fall inside a speaker's tests
+        # and inside a batch of its pooled sentences
+        with mock.patch.object(experiment, "_score_cells", spy), mock.patch.object(
+            experiment, "_CELL_CHUNK", 50
+        ):
             run_phonetic_experiment(
                 corpus, selectors=selectors, train_seconds=14.2, test_len=60, pre_frames=3
             )
@@ -794,7 +873,9 @@ class TestPhoneticExperiment:
                 want_owners += [speaker_id] * len(blocks[-1])
             want = stack_blocks(blocks)
             assert owners == want_owners
-            assert (len(tests) == 0) == (selector == "LiquidsGlides")
+            assert (tests is None) == (len(want) == 0) == (selector == "LiquidsGlides")
+            if tests is None:
+                continue
             for name in ("means", "covs", "counts", "inverses", "log_dets", "loadings"):
                 np.testing.assert_array_equal(getattr(tests, name), getattr(want, name))
 
@@ -814,6 +895,37 @@ class TestPhoneticExperiment:
         finally:
             tracemalloc.stop()
         assert peak - start < 0.5 * frame_bytes
+
+    def test_a_cell_holds_one_chunk_of_models(self, cpus):
+        # the All cell has 904 tests, four chunks; while it is built and scored
+        # the process holds one chunk's covariances, its inverses and their work
+        # buffers, not the cell's stacks (about 14 chunks' covariance bytes when
+        # the cell was one stack) nor a speaker's whole pool of test frames
+        import tracemalloc
+
+        corpus = make_corpus(
+            SynthCorpusConfig(n_speakers=4, frames_per_speaker=12000, sentence_len_frames=250)
+        )
+        peaks = []
+        ordered_map = experiment._ordered_map
+
+        def measured(fn, items):
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            outcomes = ordered_map(fn, items)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return outcomes
+
+        cpus(1)  # the cell is built and scored in this process, where it is measured
+        tracemalloc.start()
+        try:
+            with mock.patch.object(experiment, "_ordered_map", measured):
+                report = run_phonetic_experiment(corpus, selectors=("All",), min_tests=0)
+        finally:
+            tracemalloc.stop()
+        assert report.cells[("All", "mu_g")].n_tests == 904
+        chunk_covs = experiment._CELL_CHUNK * 24 * 24 * 8
+        assert peaks[0] < 2.5 * chunk_covs
 
     def test_reports_are_byte_identical_across_runs(self):
         _, corpus_a = _labeled_corpus(seed=5)
@@ -1011,6 +1123,16 @@ class TestProtocolWorkers:
             assert caught == serial_warnings
         assert any(cell.n_loaded for cell in serial.cells.values())
 
+    def test_phonetic_cell_warns_once_per_speaker_with_tests(self, cpus):
+        # as stack_blocks checks each block set once: four cells hold tests
+        # of all three speakers, LiquidsGlides none, however the tests are pooled
+        cpus(1)
+        with _recorded("always") as caught:
+            report = _phonetic_grid()
+        selectors = ("LiquidsGlides", "All", "Vowels", "Consonants", "m")
+        assert [report.cells[(s, "mu_g")].n_tests > 0 for s in selectors] == [False] + [True] * 4
+        assert sum("rank deficient" in str(w.message) for w in caught) == 4 * 3
+
     @pytest.mark.parametrize("grid", _GRIDS, ids=["duration", "phonetic"])
     def test_error_filter_raises_the_serial_first_warning(self, cpus, grid):
         raised = []
@@ -1038,6 +1160,22 @@ class TestProtocolWorkers:
         assert "not positive definite" in str(serial)
         for error in pooled:
             assert type(error) is type(serial) and str(error) == str(serial)
+
+    @pytest.mark.parametrize(
+        "grid, named",
+        [
+            (_degenerate_duration_grid, "train_s 2, test_s 10, speaker spk001: "),
+            (_degenerate_phonetic_grid, "selector All, speaker spk001: "),
+        ],
+        ids=["duration", "phonetic"],
+    )
+    def test_degenerate_cell_names_its_cell_and_speaker(self, cpus, grid, named):
+        cpus(1)
+        with pytest.raises(DegenerateModelError) as info:
+            grid()
+        assert str(info.value).startswith(
+            named + "covariance of a frame block is not positive definite"
+        )
 
     def test_scores_in_process_in_a_daemonic_process(self, cpus):
         forks = cpus(2)

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,6 +111,42 @@ class TestGenerateLabeledFrames:
         assert track.entries == (("a", 0, 4), ("m", 5, 7), ("a", 8, 9))
         covered = [i for _, s, e in track.entries for i in range(s, e + 1)]
         assert covered == list(range(10))
+
+    @pytest.mark.parametrize("correlation", [0.0, 0.6])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_frames_and_kernels_equal_a_frame_by_frame_construction(self, seed, correlation):
+        # each frame's offset looked up on its own, and each kernel closed
+        # where the next label differs; the batched generator matches bit for bit
+        cfg = SynthCorpusConfig(n_speakers=1, dim=5, class_spread=2.0, seed=seed)
+        speaker = sample_speakers(cfg)[0]
+        rng = np.random.default_rng(seed)
+        labels = list(rng.choice(["a", "m", "s", "i"], size=int(rng.integers(1, 60))))
+        frames, track = generate_labeled_frames(
+            speaker, labels, np.random.default_rng(seed), correlation=correlation
+        )
+        # the same draws with every mean zero: x + 0.0 is x, so this is the noise
+        zero = np.zeros(cfg.dim)
+        silent = replace(
+            speaker, base_mean=zero, class_offsets=dict.fromkeys(speaker.class_offsets, zero)
+        )
+        noise, _ = generate_labeled_frames(
+            silent, labels, np.random.default_rng(seed), correlation=correlation
+        )
+        noise = noise.vectors
+        offsets = np.stack([speaker.class_offsets[label] for label in labels])
+        np.testing.assert_array_equal(frames.vectors, noise + speaker.base_mean + offsets)
+        entries, start = [], 0
+        for position in range(1, len(labels) + 1):
+            if position == len(labels) or labels[position] != labels[start]:
+                entries.append((labels[start], start, position - 1))
+                start = position
+        assert track.entries == tuple(entries)
+        assert all(type(i) is int for _, start, end in track.entries for i in (start, end))
+
+    def test_empty_label_list_rejected(self):
+        speaker = sample_speakers(SynthCorpusConfig(n_speakers=1, dim=4, seed=7))[0]
+        with pytest.raises(ValueError, match="need at least one"):
+            generate_labeled_frames(speaker, [], np.random.default_rng(0))
 
     def test_unknown_label_rejected(self):
         cfg = SynthCorpusConfig(n_speakers=1, dim=4, seed=7)
