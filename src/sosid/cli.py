@@ -24,6 +24,8 @@ from .errors import (
 from .experiment import (
     DurationProtocolConfig,
     PhoneticProtocolConfig,
+    _ordered_map,
+    _read_sentence,
     _seconds_to_frames,
     emit_report,
     load_corpus,
@@ -38,7 +40,14 @@ from .frontend import (
     load_wav,
     save_features_csv,
 )
-from .gaussian import load_model_store, save_model_store, stack_blocks
+from .gaussian import (
+    _block_moments,
+    _concat_moments,
+    load_model_store,
+    save_model_store,
+    stack_blocks,
+    stack_moments,
+)
 from .identify import ScoreSheet, SpeakerRegistry, score_matrix, score_sheets_csv
 from .measures import MEASURE_KINDS, MU_G, SC_CONVENTIONS
 from .phonetic import load_taxonomy
@@ -83,27 +92,49 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    """Write one model per manifest speaker from its concatenated sentences.
+
+    Each speaker is read (its sentences in manifest order), concatenated, cut
+    to ``--train-seconds`` and reduced to raw moments by the process that
+    takes it in :func:`~sosid.experiment._ordered_map`, so a process holds one
+    speaker's frames at a time and the caller only the moments. The warnings
+    and the first error are those of a serial pass over the speakers: one
+    speaker's read errors, then its count errors, come before any of the
+    next speaker's, read errors included.
+    """
     cfg = _frontend_config(args.config)
-    corpus = load_corpus(args.manifest, frontend_config=cfg)
-    if not corpus.speakers:
-        raise InsufficientDataError(f"{args.manifest}: no speakers to train")
     limit = None if args.train_seconds is None else _seconds_to_frames(args.train_seconds)
+    manifest = load_manifest(args.manifest)
+    if not manifest.speakers:
+        raise InsufficientDataError(f"{args.manifest}: no speakers to train")
+    base = Path(args.manifest).parent
+    ids = [speaker_id for speaker_id, _ in manifest.speakers]
+    # items: (speaker id, sentences already read, refs still to read)
+    items = [(speaker_id, (), refs) for speaker_id, refs in manifest.speakers]
+    dim = None
+    first_refs = manifest.speakers[0][1]
+    if first_refs:
+        # the first sentence fixes the column count of the rest, as in load_corpus
+        first = _read_sentence(base, cfg, None, first_refs[0])
+        items[0] = (ids[0], (first,), first_refs[1:])
+        dim = first.frames.shape[1]
 
-    def speaker_blocks():
-        # one speaker's concatenation alive at a time, as a (1, frames, p) block
-        for speaker_id, sentences in corpus.speakers:
-            if not sentences:
-                raise InsufficientDataError(f"speaker {speaker_id}: no sentences to train on")
-            concat = np.concatenate([sentence.frames for sentence in sentences])
-            if limit is not None and len(concat) < limit:
-                raise InsufficientDataError(
-                    f"speaker {speaker_id}: {len(concat)} frames < {limit} needed "
-                    f"for {args.train_seconds:g} s training"
-                )
-            yield concat[None, :limit]
+    def speaker_moments(item):
+        speaker_id, read, refs = item
+        if not (read or refs):
+            raise InsufficientDataError(f"speaker {speaker_id}: no sentences to train on")
+        sentences = [*read, *(_read_sentence(base, cfg, dim, ref) for ref in refs)]
+        concat = np.concatenate([sentence.frames for sentence in sentences])
+        if limit is not None and len(concat) < limit:
+            raise InsufficientDataError(
+                f"speaker {speaker_id}: {len(concat)} frames < {limit} needed "
+                f"for {args.train_seconds:g} s training"
+            )
+        return _block_moments(concat[None, :limit])
 
-    ids = [speaker_id for speaker_id, _ in corpus.speakers]
-    save_model_store(args.out, ids, stack_blocks(speaker_blocks()), config_hash=cfg.digest())
+    moments = _ordered_map(speaker_moments, items)
+    stack = stack_moments(_concat_moments(moments))
+    save_model_store(args.out, ids, stack, config_hash=cfg.digest())
     return 0
 
 

@@ -298,10 +298,13 @@ def _outcomes(fn, items: list, conns: list) -> list:
 def _ordered_map(fn, items: list) -> list:
     """The list of ``fn(item)`` over ``items``, in order, computed on every usable CPU.
 
-    It serves :func:`load_corpus`'s sentence reads, both protocols' cells and
-    :func:`sosid.synthetic.write_corpus`'s sentence writes. ``fn`` and the
-    items reach the workers by ``fork``, not by pickling; each outcome comes
-    back pickled, so it should be small (``None``, for a write).
+    It serves :func:`load_corpus`'s sentence reads, both protocols' cells,
+    ``sosid train``'s speakers (each read and reduced to raw moments) and
+    :func:`sosid.synthetic.write_corpus`'s speakers (each generated and
+    written). ``fn`` and the items reach the workers by ``fork``, not by
+    pickling; each outcome comes back pickled, so it should be small (a
+    speaker's moments, or ``None`` for a write): an outcome of a megabyte
+    blocks its worker on the pipe until this process reads it.
 
     With P >= 2 CPUs in ``os.sched_getaffinity`` and as many items, this
     process computes every P-th item itself and P - 1 ``fork``ed workers take

@@ -94,30 +94,29 @@ class SynthCorpusConfig:
 
 def sample_speakers(cfg: SynthCorpusConfig) -> list:
     """Draw the true parameters of every speaker, deterministically."""
-    speakers = []
-    for index in range(cfg.n_speakers):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, _SPEAKER_STREAM, index])
-        )
-        direction = rng.standard_normal(cfg.dim)
-        norm = float(np.linalg.norm(direction))
-        mean = cfg.separation * direction / norm
-        square = rng.standard_normal((cfg.dim, cfg.dim)) / math.sqrt(cfg.dim)
-        cov = square @ square.T + np.eye(cfg.dim)
-        cov *= cfg.dim / np.trace(cov)  # unit average variance
-        offsets = {
-            label: cfg.class_spread * rng.standard_normal(cfg.dim) / math.sqrt(cfg.dim)
-            for label in _LABELS
-        }
-        speakers.append(
-            TrueSpeaker(
-                speaker_id=f"spk{index:03d}",
-                base_mean=mean,
-                base_cov=cov,
-                class_offsets=offsets,
-            )
-        )
-    return speakers
+    return [_sample_speaker(cfg, index) for index in range(cfg.n_speakers)]
+
+
+def _speaker_id(index: int) -> str:
+    return f"spk{index:03d}"
+
+
+def _sample_speaker(cfg: SynthCorpusConfig, index: int) -> TrueSpeaker:
+    """Draw speaker ``index``'s true parameters from its own stream."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SPEAKER_STREAM, index]))
+    direction = rng.standard_normal(cfg.dim)
+    norm = float(np.linalg.norm(direction))
+    mean = cfg.separation * direction / norm
+    square = rng.standard_normal((cfg.dim, cfg.dim)) / math.sqrt(cfg.dim)
+    cov = square @ square.T + np.eye(cfg.dim)
+    cov *= cfg.dim / np.trace(cov)  # unit average variance
+    offsets = {
+        label: cfg.class_spread * rng.standard_normal(cfg.dim) / math.sqrt(cfg.dim)
+        for label in _LABELS
+    }
+    return TrueSpeaker(
+        speaker_id=_speaker_id(index), base_mean=mean, base_cov=cov, class_offsets=offsets
+    )
 
 
 def generate_labeled_frames(
@@ -193,40 +192,37 @@ def _sentence_labels(length: int, rng: np.random.Generator):
     return labels[:length]
 
 
+def _sentences_per_speaker(cfg: SynthCorpusConfig) -> int:
+    return math.ceil(cfg.frames_per_speaker / cfg.sentence_len_frames)
+
+
+def _speaker_sentences(cfg: SynthCorpusConfig, index: int, speaker: TrueSpeaker):
+    """Yield speaker ``index``'s sentences in order, each generated as it is taken."""
+    remaining = cfg.frames_per_speaker
+    for sentence_index in range(_sentences_per_speaker(cfg)):
+        length = min(cfg.sentence_len_frames, remaining)
+        remaining -= length
+        rng = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, _SENTENCE_STREAM, index, sentence_index])
+        )
+        labels = _sentence_labels(length, rng)
+        frames, track = generate_labeled_frames(
+            speaker,
+            labels,
+            rng,
+            sentence_id=f"{speaker.speaker_id}_s{sentence_index:03d}",
+            correlation=cfg.frame_correlation,
+        )
+        yield LoadedSentence(frames=frames.vectors, alignment=track)
+
+
 def make_corpus(cfg: SynthCorpusConfig) -> LoadedCorpus:
     """Generate a corpus in memory, ready for the experiment harness."""
-    speakers = sample_speakers(cfg)
-    n_sentences = math.ceil(cfg.frames_per_speaker / cfg.sentence_len_frames)
-    corpus_speakers = []
-    for index, speaker in enumerate(speakers):
-        sentences = []
-        remaining = cfg.frames_per_speaker
-        for sentence_index in range(n_sentences):
-            length = min(cfg.sentence_len_frames, remaining)
-            remaining -= length
-            rng = np.random.default_rng(
-                np.random.SeedSequence(
-                    [cfg.seed, _SENTENCE_STREAM, index, sentence_index]
-                )
-            )
-            labels = _sentence_labels(length, rng)
-            frames, track = generate_labeled_frames(
-                speaker,
-                labels,
-                rng,
-                sentence_id=f"{speaker.speaker_id}_s{sentence_index:03d}",
-                correlation=cfg.frame_correlation,
-            )
-            sentences.append(LoadedSentence(frames=frames.vectors, alignment=track))
-        corpus_speakers.append((speaker.speaker_id, tuple(sentences)))
-    return LoadedCorpus(speakers=tuple(corpus_speakers), seed=cfg.seed)
-
-
-def _write_sentence(job) -> None:
-    """Write one sentence of :func:`write_corpus`: ``job`` is (its ``.csv`` path, the sentence)."""
-    csv_path, sentence = job
-    save_features_csv(sentence.frames, csv_path)
-    csv_path.with_suffix(".ali").write_text(format_alignment(sentence.alignment), encoding="utf-8")
+    speakers = tuple(
+        (speaker.speaker_id, tuple(_speaker_sentences(cfg, index, speaker)))
+        for index, speaker in enumerate(sample_speakers(cfg))
+    )
+    return LoadedCorpus(speakers=speakers, seed=cfg.seed)
 
 
 def write_corpus(cfg: SynthCorpusConfig, out_dir) -> Path:
@@ -236,27 +232,34 @@ def write_corpus(cfg: SynthCorpusConfig, out_dir) -> Path:
     files, plus a manifest.json at the root that the harness and the CLI
     consume directly.
 
-    The corpus is generated here, and the speaker directories are made
-    here, in order; the sentence files are then written on every CPU this
-    process may use, as :func:`~sosid.experiment.load_corpus` reads them,
-    and the manifest last. There is no option: every file's bytes, and the
-    first error raised, are those of a serial write in manifest order, and
+    The speaker directories are made here, in order. Each speaker is then
+    sampled, generated and written, a sentence at a time, by the process
+    that takes it in :func:`~sosid.experiment._ordered_map`, on every CPU
+    this process may use, so no process holds more than one speaker's
+    parameters and one sentence; the manifest is written last. There is no
+    option: every file's bytes are those of :func:`make_corpus`'s sentences,
+    the first error raised is that of a serial write in manifest order, and
     no worker outlives the call. ``taskset -c 0`` gives a serial write.
     """
-    corpus = make_corpus(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {"seed": cfg.seed, "speakers": []}
-    jobs = []
-    for speaker_id, sentences in corpus.speakers:
+    for index in range(cfg.n_speakers):
+        speaker_id = _speaker_id(index)
         (out / speaker_id).mkdir(exist_ok=True)
-        entries = []
-        for sentence_index, sentence in enumerate(sentences):
-            stem = f"{speaker_id}/s{sentence_index:03d}"
-            jobs.append((out / f"{stem}.csv", sentence))
-            entries.append({"features": f"{stem}.csv", "alignment": f"{stem}.ali"})
+        stems = [f"{speaker_id}/s{i:03d}" for i in range(_sentences_per_speaker(cfg))]
+        entries = [{"features": f"{stem}.csv", "alignment": f"{stem}.ali"} for stem in stems]
         manifest["speakers"].append({"id": speaker_id, "sentences": entries})
-    _ordered_map(_write_sentence, jobs)
+
+    def write_speaker(index):
+        sentences = _speaker_sentences(cfg, index, _sample_speaker(cfg, index))
+        for entry, sentence in zip(manifest["speakers"][index]["sentences"], sentences):
+            save_features_csv(sentence.frames, out / entry["features"])
+            (out / entry["alignment"]).write_text(
+                format_alignment(sentence.alignment), encoding="utf-8"
+            )
+
+    _ordered_map(write_speaker, list(range(cfg.n_speakers)))
     manifest_path = out / "manifest.json"
     manifest_path.write_text(
         json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"

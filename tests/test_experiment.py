@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import re
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -39,19 +40,26 @@ from sosid.experiment import (
     run_duration_experiment,
     run_phonetic_experiment,
 )
-from sosid.frontend import save_wav
+from sosid.frontend import FrontendConfig, save_features_csv, save_wav
 from sosid.gaussian import (
     GaussianModel,
     ModelStack,
     _block_moments,
     _concat_moments,
     factorize,
+    save_model_store,
     stack_blocks,
     stack_moments,
 )
 from sosid.identify import SpeakerRegistry
 from sosid.measures import MEASURE_KINDS, measure_matrices
-from sosid.phonetic import assemble_tests, default_taxonomy, expand_kernels, select_frames
+from sosid.phonetic import (
+    assemble_tests,
+    default_taxonomy,
+    expand_kernels,
+    format_alignment,
+    select_frames,
+)
 from sosid.synthetic import SynthCorpusConfig, make_corpus, write_corpus
 
 
@@ -179,9 +187,9 @@ def cpus(monkeypatch):
     return use
 
 
-def _feature_corpus(tmp_path):
+def _feature_corpus(tmp_path, n_speakers=3):
     cfg = SynthCorpusConfig(
-        n_speakers=3, dim=4, frames_per_speaker=400, sentence_len_frames=100, seed=5
+        n_speakers=n_speakers, dim=4, frames_per_speaker=400, sentence_len_frames=100, seed=5
     )
     return write_corpus(cfg, tmp_path / "corpus")
 
@@ -335,7 +343,7 @@ class TestWriteCorpusWorkers:
         assert len(trees[0]) == 25 and trees[0] == trees[1]
 
     def test_first_error_equals_the_serial_one(self, tmp_path, cpus, capsys):
-        # item 6 falls to the worker and item 9 to this process when there are 2 CPUs
+        # spk001 falls to this process and spk002 to the worker when there are 2 CPUs
         blocked = ["spk001/s002.csv", "spk002/s001.csv"]
         raised, messages = [], []
         for n in (1, 2):
@@ -355,6 +363,146 @@ class TestWriteCorpusWorkers:
         assert raised[0] == raised[1]
         assert str(tmp_path / "*" / "corpus" / blocked[0]) in raised[0]
         assert messages[0] == messages[1] == f"error: {raised[0]}\n"
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_files_are_make_corpus_sentences(self, tmp_path, cpus, n):
+        cfg = SynthCorpusConfig(
+            n_speakers=5, dim=4, class_spread=0.5, frames_per_speaker=250, sentence_len_frames=100
+        )
+        want = tmp_path / "want"
+        for speaker_id, sentences in make_corpus(cfg).speakers:
+            (want / speaker_id).mkdir(parents=True)
+            for i, sentence in enumerate(sentences):
+                save_features_csv(sentence.frames, want / speaker_id / f"s{i:03d}.csv")
+                ali = format_alignment(sentence.alignment)
+                (want / speaker_id / f"s{i:03d}.ali").write_text(ali, encoding="utf-8")
+        forks = cpus(n)
+        forks.clear()
+        manifest = write_corpus(cfg, tmp_path / "got")
+        assert forks == ([] if n == 1 else ["fork"])
+        got = _tree(manifest.parent)
+        assert got.pop("manifest.json") and got == _tree(want) and len(got) == 5 * 3 * 2
+
+    def test_holds_one_sentence_of_the_corpus(self, tmp_path, cpus):
+        # each sentence is written as it is generated, so the peak does not grow
+        # with the speakers
+        cpus(1)
+        fields = dict(dim=24, frames_per_speaker=3000, sentence_len_frames=300)
+        peaks = {}
+        for n_speakers in (3, 12):
+            cfg = SynthCorpusConfig(n_speakers=n_speakers, **fields)
+            peaks[n_speakers], _ = _traced_peak(write_corpus, cfg, tmp_path / str(n_speakers))
+        speaker_bytes = 3000 * 24 * 8
+        # measured: 1.03 and 0.96 (a sentence's frames and its text, and 12 speakers' manifest)
+        assert peaks[12] < 1.1 * peaks[3]
+        assert peaks[12] < 1.5 * speaker_bytes
+
+
+def _traced_peak(fn, *args):
+    """(peak bytes traced above the entry level while ``fn(*args)`` ran, its result)."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start, result
+
+
+def _train(manifest, out, *flags) -> int:
+    return main(["train", "--manifest", str(manifest), "--out", str(out), *flags])
+
+
+class TestTrainWorkers:
+    """sosid train reduces each speaker where it is read and still writes a serial run's store."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "make, seconds",
+        [
+            (functools.partial(_feature_corpus, n_speakers=5), None),
+            (functools.partial(_feature_corpus, n_speakers=5), "2.5"),
+            (_wav_corpus, None),
+            (_wav_corpus, "0.5"),
+        ],
+        ids=["csv", "csv-2.5s", "wav", "wav-0.5s"],
+    )
+    def test_store_is_stack_blocks_of_the_loaded_corpus(self, tmp_path, cpus, n, make, seconds):
+        cpus(1)
+        manifest = make(tmp_path)
+        corpus = load_corpus(manifest)
+        limit = None if seconds is None else round(float(seconds) * 100)
+        blocks = (
+            np.concatenate([s.frames for s in sentences])[None, :limit]
+            for _, sentences in corpus.speakers
+        )
+        ids = [speaker_id for speaker_id, _ in corpus.speakers]
+        save_model_store(tmp_path / "want", ids, stack_blocks(blocks), FrontendConfig().digest())
+        forks = cpus(n)
+        forks.clear()
+        flags = [] if seconds is None else ["--train-seconds", seconds]
+        assert _train(manifest, tmp_path / "got", *flags) == 0
+        assert forks == ([] if n == 1 else ["fork"])
+        assert multiprocessing.active_children() == []
+        want = _tree(tmp_path / "want")
+        assert _tree(tmp_path / "got") == want and len(want) == len(ids)
+
+    def test_first_error_is_a_serial_pass_over_the_speakers(self, tmp_path, cpus, capsys):
+        # spk000 is short of 3 s and spk001 has an unreadable sentence: a corpus-wide
+        # read would raise spk001's error first
+        manifest = _feature_corpus(tmp_path, n_speakers=5)
+        doc = json.loads(manifest.read_text())
+        doc["speakers"][0]["sentences"] = doc["speakers"][0]["sentences"][:2]
+        manifest.write_text(json.dumps(doc))
+        (manifest.parent / "spk001" / "s001.csv").write_text("1,2,x,4\n")
+        messages = []
+        for n in (1, 2, 3, 4):
+            cpus(n)
+            assert _train(manifest, tmp_path / "store", "--train-seconds", "3") == 2
+            messages.append(capsys.readouterr().err)
+            assert multiprocessing.active_children() == []
+        assert messages == ["error: speaker spk000: 200 frames < 300 needed for 3 s training\n"] * 4
+        assert not (tmp_path / "store").exists()
+
+    def test_rank_deficiency_warnings_come_in_speaker_order(self, tmp_path, cpus):
+        manifest = _feature_corpus(tmp_path, n_speakers=5)
+        for speaker_id, rows in (("spk001", 3), ("spk003", 4)):
+            path = manifest.parent / speaker_id / "s000.csv"
+            frames = np.loadtxt(path, delimiter=",")[:rows]
+            for sentence in (manifest.parent / speaker_id).glob("s*.csv"):
+                sentence.unlink()
+            save_features_csv(frames, path)
+        doc = json.loads(manifest.read_text())
+        for index in (1, 3):
+            doc["speakers"][index]["sentences"] = doc["speakers"][index]["sentences"][:1]
+        manifest.write_text(json.dumps(doc))
+        caught = []
+        for n in (1, 2, 3, 4):
+            cpus(n)
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                assert _train(manifest, tmp_path / str(n)) == 0
+            caught.append([str(w.message) for w in record if w.category is RuntimeWarning])
+        rank = "covariance from {} vectors at dimension 4 is rank deficient in exact arithmetic"
+        assert caught == [[rank.format(3), rank.format(4)]] * 4
+        assert _tree(tmp_path / "1") == _tree(tmp_path / "4")
+
+    def test_holds_one_speaker_of_the_corpus(self, tmp_path, cpus):
+        # each speaker is reduced to moments as it is read, so the peak does not
+        # grow with the speakers
+        cpus(1)
+        fields = dict(dim=24, frames_per_speaker=3000, sentence_len_frames=300)
+        peaks = {}
+        for n_speakers in (3, 12):
+            cfg = SynthCorpusConfig(n_speakers=n_speakers, **fields)
+            manifest = write_corpus(cfg, tmp_path / str(n_speakers))
+            peaks[n_speakers], code = _traced_peak(_train, manifest, tmp_path / f"s{n_speakers}")
+            assert code == 0
+        speaker_bytes = 3000 * 24 * 8
+        # measured: 1.01 and 2.32 (a speaker's sentences and their concatenation)
+        assert peaks[12] < 1.1 * peaks[3]
+        assert peaks[12] < 3 * speaker_bytes
 
 
 class TestOrderedMap:
