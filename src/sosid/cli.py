@@ -100,7 +100,8 @@ def _cmd_train(args) -> int:
     speaker's frames at a time and the caller only the moments. The warnings
     and the first error are those of a serial pass over the speakers: one
     speaker's read errors, then its count errors, come before any of the
-    next speaker's, read errors included.
+    next speaker's, read errors included. A model that does not factorize
+    is a DegenerateModelError naming its speaker, and no store is written.
     """
     cfg = _frontend_config(args.config)
     limit = None if args.train_seconds is None else _seconds_to_frames(args.train_seconds)
@@ -133,7 +134,10 @@ def _cmd_train(args) -> int:
         return _block_moments(concat[None, :limit])
 
     moments = _ordered_map(speaker_moments, items)
-    stack = stack_moments(_concat_moments(moments))
+    try:
+        stack = stack_moments(_concat_moments(moments))
+    except DegenerateModelError as exc:
+        raise DegenerateModelError(f"speaker {ids[exc.row]}: {exc}") from None
     save_model_store(args.out, ids, stack, config_hash=cfg.digest())
     return 0
 

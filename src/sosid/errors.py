@@ -28,9 +28,13 @@ class EmptyInputError(SosidError):
 class DegenerateModelError(SosidError):
     """Too little or too redundant data to estimate a usable model."""
 
+    row: int | None = None  # a stack's first row that does not factorize, for callers to name
+
 
 class NotPositiveDefiniteError(SosidError):
     """A covariance matrix has no Cholesky factorization, even after loading."""
+
+    row: int | None = None  # its row in the stack being factorized, where there is one
 
 
 class AlignmentError(SosidError):

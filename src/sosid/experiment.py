@@ -48,7 +48,6 @@ from .errors import (
     ConfigurationError,
     DegenerateModelError,
     InsufficientDataError,
-    NotPositiveDefiniteError,
     SosidError,
     json_document,
 )
@@ -58,7 +57,7 @@ from .frontend import (
     load_features_csv,
     load_wav,
 )
-from .gaussian import SegmentMoments, _check_count, _factorize_stack, _raw_moments, stack_moments
+from .gaussian import SegmentMoments, _check_count, _raw_moments, stack_moments
 from .identify import SpeakerRegistry, decisions_from_scores
 from .measures import MEASURE_KINDS, SC_CONVENTIONS, SC_DECOMPOSITION, measure_matrices
 from .phonetic import (
@@ -569,29 +568,14 @@ def _checked_speakers(corpus: LoadedCorpus, needed: int, material: str) -> tuple
 
 
 def _reference_registry(ids, moments: SegmentMoments, train_f: int) -> SpeakerRegistry:
-    """Registry of one model per speaker from the raw moments of its first ``train_f`` frames."""
+    """Registry of one model per speaker from the raw moments of its first ``train_f`` frames;
+    a reference that does not factorize is a DegenerateModelError naming its speaker."""
     try:
         return SpeakerRegistry(ids, stack_moments(moments.spans([[0, train_f]] * len(ids))))
     except DegenerateModelError as exc:
-        raise DegenerateModelError(f"reference from {train_f} training vectors: {exc}") from exc
-
-
-def _chunk_stack(moments, owners, where: str):
-    """:func:`stack_moments` of one chunk; a covariance that does not factorize
-    is a DegenerateModelError naming the cell ``where`` and the test's speaker.
-    """
-    try:
-        return stack_moments(moments)
-    except DegenerateModelError as exc:
-        # stack_moments finalized the covariances in place; the first one that
-        # fails on its own, under the same loading policy, is the one that failed
-        _, covs, counts = moments
-        for row, owner in enumerate(owners):
-            try:
-                _factorize_stack(covs[row : row + 1], counts[row : row + 1] <= covs.shape[-1])
-            except NotPositiveDefiniteError:
-                raise DegenerateModelError(f"{where}, speaker {owner}: {exc}") from exc
-        raise
+        raise DegenerateModelError(
+            f"reference from {train_f} training vectors, speaker {ids[exc.row]}: {exc}"
+        ) from exc
 
 
 def _score_cells(registry, chunks, kinds, sc_convention, min_tests=None, where="") -> dict:
@@ -601,11 +585,15 @@ def _score_cells(registry, chunks, kinds, sc_convention, min_tests=None, where="
     moments and their speakers. Each chunk is finalized, factorized, scored
     and reduced to decisions, and its stack dropped, before the next is
     pulled; all kinds of a chunk come from one ``measure_matrices`` call, so
-    the terms they share are computed once.
+    the terms they share are computed once. A test that does not factorize
+    is a DegenerateModelError naming the cell ``where`` and its speaker.
     """
     owners, decisions, n_loaded = [], {kind: [] for kind in kinds}, 0
     for moments, chunk_owners in chunks:
-        tests = _chunk_stack(moments, chunk_owners, where)
+        try:
+            tests = stack_moments(moments)
+        except DegenerateModelError as exc:
+            raise DegenerateModelError(f"{where}, speaker {chunk_owners[exc.row]}: {exc}") from exc
         n_loaded += int(np.count_nonzero(tests.loadings))
         for kind, values in measure_matrices(kinds, registry.stack, tests, sc_convention).items():
             decisions[kind] += decisions_from_scores(registry, values)

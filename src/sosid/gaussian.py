@@ -39,8 +39,8 @@ class GaussianModel:
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
-        if mean.ndim != 1:
-            raise ValueError(f"mean must be a vector, got shape {mean.shape}")
+        if mean.ndim != 1 or mean.size == 0:
+            raise ValueError(f"mean must be a non-empty vector, got shape {mean.shape}")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(
                 f"cov shape {cov.shape} does not match dimension {mean.size}"
@@ -165,7 +165,8 @@ def _factorize_stack(covs, singular=None):
     One batched Cholesky serves the common case; only when it fails, or the
     boolean mask ``singular`` marks a covariance known to be singular, is
     each covariance factorized on its own, so loading reaches only the ones
-    that need it.
+    that need it. The first that fails even after loading raises a
+    NotPositiveDefiniteError whose ``row`` is its index.
     """
     if singular is None:
         singular = np.zeros(len(covs), dtype=bool)
@@ -179,7 +180,11 @@ def _factorize_stack(covs, singular=None):
     if factors is None:
         factors = np.empty_like(covs)
         for i, cov in enumerate(covs):
-            factors[i], loadings[i] = _cholesky_with_loading(cov, singular[i])
+            try:
+                factors[i], loadings[i] = _cholesky_with_loading(cov, singular[i])
+            except NotPositiveDefiniteError as exc:
+                exc.row = i
+                raise
     log_dets = 2.0 * np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1)
     # inverse = L^-T L^-1; a positive Cholesky diagonal makes trtri succeed.
     # Each factor is inverted in place, then overwritten by its symmetrized
@@ -232,7 +237,7 @@ def stack_models(models) -> ModelStack:
 
     Each row is bit for bit what :func:`factorize` gives for its model
     alone; the first covariance that fails even after diagonal loading
-    raises NotPositiveDefiniteError.
+    raises NotPositiveDefiniteError, its ``row`` the model's index.
     """
     models = list(models)
     return _factorized(
@@ -326,10 +331,11 @@ def stack_moments(moments) -> ModelStack:
     """Estimate and factorize one model per row of a (sums, outers, counts) triple.
 
     Raw sums are finalized with the one-pass ML formula and factorized as
-    one batch under the loading policy of :func:`factorize`; a covariance
-    that does not factorize even so is a DegenerateModelError. A covariance
-    from p frames or fewer has rank below p, so it is loaded even where
-    rounding would let its Cholesky factorization through.
+    one batch under the loading policy of :func:`factorize`; the first
+    covariance that does not factorize even so is a DegenerateModelError
+    whose ``row`` is its index. A covariance from p frames or fewer has rank
+    below p, so it is loaded even where rounding would let its Cholesky
+    factorization through.
 
     The moments are consumed: the outer-product sums are finalized in place
     and the returned stack's ``covs`` *is* their buffer, so pass arrays that
@@ -342,9 +348,9 @@ def stack_moments(moments) -> ModelStack:
     try:
         return _factorized(means, covs, counts, singular=counts <= covs.shape[-1])
     except NotPositiveDefiniteError as exc:
-        raise DegenerateModelError(
-            f"covariance of a frame block is not positive definite: {exc}"
-        ) from exc
+        error = DegenerateModelError(f"covariance of a frame block is not positive definite: {exc}")
+        error.row = exc.row
+        raise error from exc
 
 
 def stack_blocks(block_sets) -> ModelStack:
@@ -402,8 +408,7 @@ def load_model_store(store_dir) -> tuple:
     a missing key, an ``id`` other than its file name, a count that is not an
     integer >= 1, wrong sizes, non-finite values) or differs from the first in
     dimension, is a SosidError naming the file. So is the first covariance
-    that does not factorize, which is looked for only once the one batch has
-    failed.
+    that does not factorize.
     """
     store = Path(store_dir)
     paths = sorted(store.glob("*.json"))
@@ -427,10 +432,5 @@ def load_model_store(store_dir) -> tuple:
     ids = [path.stem for path in paths]
     try:
         return ids, stack_models(models)
-    except NotPositiveDefiniteError:
-        for path, model in zip(paths, models):
-            try:
-                stack_models([model])
-            except NotPositiveDefiniteError as exc:
-                raise SosidError(f"{path}: speaker {path.stem!r}: {exc}") from None
-        raise
+    except NotPositiveDefiniteError as exc:
+        raise SosidError(f"{paths[exc.row]}: speaker {ids[exc.row]!r}: {exc}") from None

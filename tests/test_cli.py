@@ -197,6 +197,7 @@ class TestTrainAndIdentify:
                     :-1, :-1
                 ].ravel().tolist(),
             },
+            lambda doc: {**doc, "mean": [], "covariance": []},
         ],
         ids=[
             "nan-mean",
@@ -213,6 +214,7 @@ class TestTrainAndIdentify:
             "integer-id",
             "empty-id",
             "other-dim",
+            "empty-mean",
         ],
     )
     def test_bad_store_document_is_data_error(self, corpus_dir, tmp_path, capsys, corrupt):
@@ -234,6 +236,18 @@ class TestTrainAndIdentify:
         assert main(["identify", "--store", str(store), features]) == 2
         reason = "covariance of dimension 6 is not positive definite"
         assert capsys.readouterr().err == f"error: {path}: speaker 'spk001': {reason}\n"
+
+    def test_empty_first_document_names_its_file(self, corpus_dir, tmp_path, capsys):
+        # the first document fixes the store's dimension, so an empty one would blame the test
+        store = tmp_path / "store"
+        main(["train", "--manifest", str(corpus_dir / "manifest.json"), "--out", str(store)])
+        path = store / "spk000.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "mean": [], "covariance": []}))
+        features = str(corpus_dir / "spk000" / "s000.csv")
+        assert main(["identify", "--store", str(store), features]) == 2
+        reason = "mean must be a non-empty vector, got shape (0,)"
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
     def test_missing_key_names_the_file_and_the_key(self, corpus_dir, tmp_path, capsys):
         store = tmp_path / "store"

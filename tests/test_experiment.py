@@ -488,6 +488,22 @@ class TestTrainWorkers:
         assert caught == [[rank.format(3), rank.format(4)]] * 4
         assert _tree(tmp_path / "1") == _tree(tmp_path / "4")
 
+    def test_model_that_does_not_factorize_names_its_speaker(self, tmp_path, cpus, capsys):
+        # every frame of spk001 is the same, so its covariance is exactly 0
+        manifest = _feature_corpus(tmp_path)
+        for path in (manifest.parent / "spk001").glob("s*.csv"):
+            save_features_csv(np.ones((100, 4)), path)
+        messages = []
+        for n in (1, 2):
+            cpus(n)
+            assert _train(manifest, tmp_path / "store") == 2
+            messages.append(capsys.readouterr().err)
+            assert multiprocessing.active_children() == []
+        reason = "covariance of dimension 4 is not positive definite"
+        named = "error: speaker spk001: covariance of a frame block is not positive definite: "
+        assert messages == [named + reason + "\n"] * 2
+        assert not (tmp_path / "store").exists()
+
     def test_holds_one_speaker_of_the_corpus(self, tmp_path, cpus):
         # each speaker is reduced to moments as it is read, so the peak does not
         # grow with the speakers
@@ -1082,7 +1098,7 @@ class TestPhoneticExperiment:
         text_b = emit_report(run_phonetic_experiment(corpus_b, selectors=("All", "Vowels")), "csv")
         assert text_a == text_b
 
-    def test_training_matches_duration_protocol_material(self):
+    def test_training_matches_duration_protocol_material(self, cpus):
         # both protocols train on the same leading 15 s of the same shuffle,
         # and build the same reference models from it, bit for bit
         _, corpus = _labeled_corpus(seed=11)
@@ -1093,10 +1109,14 @@ class TestPhoneticExperiment:
             return score_cells(registry, *args)
 
         score_cells = experiment._score_cells
+        cpus(1)  # the spy sees only the cells this process scores: all of them
+        cfg = DurationProtocolConfig(train_durations=(15.0,))
         with mock.patch.object(experiment, "_score_cells", spy):
             run_phonetic_experiment(corpus, selectors=("All",), min_tests=1)
+            assert len(registries) == 1
             phonetic = registries[-1]
-            run_duration_experiment(corpus, DurationProtocolConfig(train_durations=(15.0,)))
+            run_duration_experiment(corpus, cfg)
+            assert len(registries) == 1 + len(cfg.test_durations)
             duration = registries[-1]
         for speaker_id, concat, _ in experiment._speaker_streams(corpus):
             want = GaussianModel.from_frames(concat[:1500])
@@ -1323,6 +1343,26 @@ class TestProtocolWorkers:
             grid()
         assert str(info.value).startswith(
             named + "covariance of a frame block is not positive definite"
+        )
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            lambda corpus: run_duration_experiment(
+                corpus, DurationProtocolConfig(train_durations=(15.0,), test_durations=(1.0,))
+            ),
+            lambda corpus: run_phonetic_experiment(corpus, selectors=("All",)),
+        ],
+        ids=["duration", "phonetic"],
+    )
+    def test_degenerate_reference_names_its_speaker(self, grid):
+        # both protocols train on the leading 15 s of the same stream
+        _, corpus = _labeled_corpus()
+        with pytest.raises(DegenerateModelError) as info:
+            grid(_constant_span(corpus, 1, 0, 1500))
+        assert str(info.value).startswith(
+            "reference from 1500 training vectors, speaker spk001: "
+            "covariance of a frame block is not positive definite"
         )
 
     def test_scores_in_process_in_a_daemonic_process(self, cpus):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -14,6 +15,7 @@ from sosid.gaussian import (
     DEFAULT_LOADING_SCALE,
     GaussianModel,
     _factorize_stack,
+    _raw_moments,
     factorize,
     load_model_store,
     save_model_store,
@@ -131,6 +133,11 @@ class TestGaussianModel:
         with pytest.raises(ValueError):
             GaussianModel(mean=[0.0], cov=[[1.0]], count=0)
 
+    def test_empty_mean_rejected(self):
+        # as from_frames rejects zero width: a dimension-0 model has nothing to factorize
+        with pytest.raises(ValueError, match="non-empty"):
+            GaussianModel(mean=[], cov=np.empty((0, 0)), count=10)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -176,6 +183,17 @@ class TestFactorize:
     def test_zero_matrix_rejected_even_with_loading(self):
         with pytest.raises(NotPositiveDefiniteError):
             factorize(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("singular", [None, np.array([False, True, False, False, True])])
+    def test_failure_names_the_first_row_that_does_not_factorize(self, singular):
+        # rows 2 and 4 fail; the error records 2 and keeps it through pickling,
+        # which is how it leaves a worker process
+        covs = np.stack([np.eye(3)] * 5)
+        covs[[2, 4]] = 0.0
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            _factorize_stack(covs, singular)
+        assert info.value.row == 2
+        assert pickle.loads(pickle.dumps(info.value)).row == 2
 
     def test_stack_holds_two_stacks_at_most(self):
         # the factors are inverted in place and then overwritten by the
@@ -358,6 +376,15 @@ class TestStackMoments:
             np.testing.assert_array_equal(stack.covs[i], cov)
             np.testing.assert_array_equal(stack.inverses[i], inverse)
             assert stack.loadings[i] == loading
+
+    def test_failure_names_its_row(self):
+        # row 1 is a constant block, whose covariance is exactly 0
+        blocks = np.random.default_rng(5).standard_normal((3, 20, 4))
+        blocks[1] = 1.0
+        with pytest.raises(DegenerateModelError, match="not positive definite") as info:
+            stack_moments(_raw_moments(blocks) + (np.full(3, 20.0),))
+        assert info.value.row == 1
+        assert pickle.loads(pickle.dumps(info.value)).row == 1
 
     def test_covariances_are_finalized_in_the_outer_sums_buffer(self):
         a = np.random.default_rng(9).standard_normal((1000, 48, 24))
