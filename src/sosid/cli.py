@@ -24,6 +24,7 @@ from .errors import (
 from .experiment import (
     DurationProtocolConfig,
     PhoneticProtocolConfig,
+    _manifest_corpus,
     _ordered_map,
     _read_sentence,
     _seconds_to_frames,
@@ -178,16 +179,17 @@ def _duration_config(args) -> DurationProtocolConfig:
         return DurationProtocolConfig(**{**doc, **flags})
 
 
-def _load_eval_corpus(args):
+def _eval_corpus(args, load):
+    """The manifest's corpus by ``load`` (:func:`load_corpus`'s arguments), under ``--seed``."""
     manifest = load_manifest(args.manifest)
     if args.seed is not None:
         manifest = dataclasses.replace(manifest, seed=args.seed)
-    return load_corpus(manifest, base_dir=Path(args.manifest).parent)
+    return load(manifest, base_dir=Path(args.manifest).parent)
 
 
 def _cmd_eval_duration(args) -> int:
     cfg = _duration_config(args)
-    report = run_duration_experiment(_load_eval_corpus(args), cfg)
+    report = run_duration_experiment(_eval_corpus(args, load_corpus), cfg)
     _write_or_print(emit_report(report, **_given(args, "fmt")), args.out)
     return 0
 
@@ -198,7 +200,8 @@ def _cmd_eval_phonetic(args) -> int:
     if args.taxonomy is not None:
         given["taxonomy"] = load_taxonomy(args.taxonomy)
     cfg = PhoneticProtocolConfig(**given)
-    report = run_phonetic_experiment(_load_eval_corpus(args), cfg)
+    # sentences are read as the protocol takes them, a speaker at a time
+    report = run_phonetic_experiment(_eval_corpus(args, _manifest_corpus), cfg)
     _write_or_print(emit_report(report, **_given(args, "fmt")), args.out)
     return 0
 

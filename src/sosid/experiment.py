@@ -14,11 +14,18 @@ consecutive test blocks of each test duration, capped per speaker.
 Phonetic protocol: tests come from the material after the training
 seconds only: phone kernels are widened, frames matching a phoneme or
 class selector are pooled per speaker, and the pool is cut into fixed
-one-second tests. It reads each sentence's own frame array and never
-concatenates a whole stream, so it holds the corpus once.
+one-second tests. It runs speaker by speaker, in two passes over the
+stream: the first takes each speaker's sentences up to the training
+seconds and returns their raw moments, and the second takes the rest and
+returns, for every selector, only the speaker's tallies of tests and
+correct decisions. A sentence is indexed once per pass at most, so a
+corpus whose sentences are read from disk when indexed
+(:func:`_manifest_corpus`) is never held whole: a process holds one
+speaker's sentences at a time.
 
-Either protocol builds, factorizes and scores a cell's tests ``_CELL_CHUNK``
-at a time, so no process holds a whole cell's models.
+Either protocol builds, factorizes and scores tests ``_CELL_CHUNK`` at a
+time (the phonetic protocol a speaker's tests of one selector), so no
+process holds a whole cell's models.
 
 Reported metrics per cell: the global percentage of correct decisions over
 all tests, and the unweighted mean over speakers of each speaker's own
@@ -28,7 +35,6 @@ percentage.
 from __future__ import annotations
 
 import collections
-import functools
 import hashlib
 import io
 import json
@@ -57,7 +63,14 @@ from .frontend import (
     load_features_csv,
     load_wav,
 )
-from .gaussian import SegmentMoments, _check_count, _raw_moments, stack_moments
+from .gaussian import (
+    SegmentMoments,
+    _block_moments,
+    _check_count,
+    _concat_moments,
+    _raw_moments,
+    stack_moments,
+)
 from .identify import SpeakerRegistry, decisions_from_scores
 from .measures import MEASURE_KINDS, SC_CONVENTIONS, SC_DECOMPOSITION, measure_matrices
 from .phonetic import (
@@ -202,7 +215,11 @@ class LoadedSentence:
 
 @dataclass(frozen=True)
 class LoadedCorpus:
-    """Fully loaded corpus: (speaker_id, sentences) pairs plus the seed."""
+    """(speaker_id, sentences) pairs plus the seed.
+
+    ``sentences`` is a sequence of :class:`LoadedSentence`: a tuple of loaded
+    ones, or a :class:`_SentenceReads` that reads one each time it is indexed.
+    """
 
     speakers: tuple
     seed: int
@@ -297,13 +314,15 @@ def _outcomes(fn, items: list, conns: list) -> list:
 def _ordered_map(fn, items: list) -> list:
     """The list of ``fn(item)`` over ``items``, in order, computed on every usable CPU.
 
-    It serves :func:`load_corpus`'s sentence reads, both protocols' cells,
+    It serves :func:`load_corpus`'s sentence reads, the duration
+    protocol's cells, the phonetic protocol's speakers (read twice: the
+    training sentences reduced to raw moments, then the rest to tallies),
     ``sosid train``'s speakers (each read and reduced to raw moments) and
     :func:`sosid.synthetic.write_corpus`'s speakers (each generated and
     written). ``fn`` and the items reach the workers by ``fork``, not by
     pickling; each outcome comes back pickled, so it should be small (a
-    speaker's moments, or ``None`` for a write): an outcome of a megabyte
-    blocks its worker on the pipe until this process reads it.
+    speaker's moments or tallies, or ``None`` for a write): an outcome of a
+    megabyte blocks its worker on the pipe until this process reads it.
 
     With P >= 2 CPUs in ``os.sched_getaffinity`` and as many items, this
     process computes every P-th item itself and P - 1 ``fork``ed workers take
@@ -361,22 +380,64 @@ def load_corpus(
     message), are those of a serial read in manifest order, and no worker
     outlives the call. ``taskset -c 0`` gives a serial run.
     """
+    corpus = _manifest_corpus(manifest, frontend_config, base_dir)
+    # (a speaker's sentences, index) of every sentence, in manifest order
+    items = [(sentences, i) for _, sentences in corpus.speakers for i in range(len(sentences))]
+
+    def read(item):
+        sentences, index = item
+        return sentences[index]
+
+    # the first sentence is read here, so it fixes the others' column count before any fork
+    loaded = iter([read(items[0]), *_ordered_map(read, items[1:])] if items else [])
+    speakers = [(sid, tuple(next(loaded) for _ in sentences)) for sid, sentences in corpus.speakers]
+    return LoadedCorpus(speakers=tuple(speakers), seed=corpus.seed)
+
+
+class _SentenceReads:
+    """A speaker's manifest sentences as a sequence: indexing reads one with
+    ``read``, again on every access, so only its caller holds the frames."""
+
+    def __init__(self, read, refs):
+        self._read, self._refs = read, refs
+
+    def __len__(self) -> int:
+        return len(self._refs)
+
+    def __getitem__(self, index) -> LoadedSentence:
+        return self._read(self._refs[index])
+
+
+def _manifest_corpus(manifest, frontend_config=None, base_dir=None) -> LoadedCorpus:
+    """A manifest as a corpus whose sentences are read when they are indexed.
+
+    It takes :func:`load_corpus`'s arguments, but reads nothing itself. The
+    manifest's first sentence fixes the column count of the others: a
+    process that has not read it reads it before the first sentence it
+    reads.
+    """
     if isinstance(manifest, (str, Path)):
         base_dir = Path(manifest).parent if base_dir is None else Path(base_dir)
         manifest = load_manifest(manifest)
     base = Path(base_dir) if base_dir is not None else Path(".")
     cfg = frontend_config if frontend_config is not None else FrontendConfig()
     refs = [ref for _, speaker_refs in manifest.speakers for ref in speaker_refs]
-    sentences = []
-    if refs:
-        sentences.append(_read_sentence(base, cfg, None, refs[0]))
-        read = functools.partial(_read_sentence, base, cfg, sentences[0].frames.shape[1])
-        sentences.extend(_ordered_map(read, refs[1:]))
-    loaded = iter(sentences)
-    speakers = []
-    for speaker_id, speaker_refs in manifest.speakers:
-        speakers.append((speaker_id, tuple(next(loaded) for _ in speaker_refs)))
-    return LoadedCorpus(speakers=tuple(speakers), seed=manifest.seed)
+    dim = None
+
+    def read(ref):
+        nonlocal dim
+        if dim is None:
+            first = _read_sentence(base, cfg, None, refs[0])
+            dim = first.frames.shape[1]
+            if ref is refs[0]:
+                return first
+        return _read_sentence(base, cfg, dim, ref)
+
+    speakers = tuple(
+        (speaker_id, _SentenceReads(read, speaker_refs))
+        for speaker_id, speaker_refs in manifest.speakers
+    )
+    return LoadedCorpus(speakers=speakers, seed=manifest.seed)
 
 
 @dataclass(frozen=True)
@@ -509,30 +570,30 @@ def compute_metrics(results) -> tuple:
     return global_accuracy, sum(speaker_means) / len(speaker_means)
 
 
-def _speaker_order(corpus: LoadedCorpus, index: int) -> list:
-    """Seeded random order of the sentences of the corpus's index-th speaker.
-
-    Returns (offset, sentence) pairs, the offset being where the sentence
-    starts in the concatenation of the order; the same corpus seed always
-    yields the same order, so the duration and phonetic protocols see
-    identical training material.
-    """
-    _, sentences = corpus.speakers[index]
+def _sentence_order(corpus: LoadedCorpus, index: int) -> np.ndarray:
+    """Indices of the corpus's index-th speaker's sentences in their seeded
+    random order; the same corpus seed always yields the same order, so the
+    duration and phonetic protocols see identical training material."""
     rng = np.random.default_rng(
         np.random.SeedSequence([corpus.seed, _SHUFFLE_STREAM, index])
     )
-    placed = []
-    offset = 0
-    for sentence_index in rng.permutation(len(sentences)):
+    return rng.permutation(len(corpus.speakers[index][1]))
+
+
+def _placed(sentences, order, offset: int = 0):
+    """(offset, sentence) of each of ``sentences`` in ``order``, indexed one at a
+    time as they are taken, the offset being where the sentence starts in the
+    stream, the first at ``offset``."""
+    for sentence_index in order:
         sentence = sentences[sentence_index]
-        placed.append((offset, sentence))
+        yield offset, sentence
         offset += len(sentence.frames)
-    return placed
 
 
 def _speaker_stream(corpus: LoadedCorpus, index: int):
-    """The concatenated frames of :func:`_speaker_order`'s sentences, and that order."""
-    placed = _speaker_order(corpus, index)
+    """The concatenated frames of the index-th speaker's sentences in their
+    seeded order, and the :func:`_placed` sentences."""
+    placed = list(_placed(corpus.speakers[index][1], _sentence_order(corpus, index)))
     concat = (
         np.concatenate([sentence.frames for _, sentence in placed])
         if placed
@@ -553,62 +614,72 @@ def _speaker_streams(corpus: LoadedCorpus):
     ]
 
 
-def _checked_speakers(corpus: LoadedCorpus, needed: int, material: str) -> tuple:
-    """Speaker ids and frame counts; an InsufficientDataError below 2 speakers or ``needed``."""
+def _speaker_ids(corpus: LoadedCorpus) -> list:
+    """The corpus's speaker ids; an InsufficientDataError below 2 speakers."""
     if len(corpus.speakers) < 2:
         raise InsufficientDataError("identification needs at least 2 speakers")
-    ids = [speaker_id for speaker_id, _ in corpus.speakers]
+    return [speaker_id for speaker_id, _ in corpus.speakers]
+
+
+def _short(speaker_id, n: int, needed: int, material: str) -> InsufficientDataError:
+    """The error of a speaker with ``n`` frames, all it has, where ``needed`` are needed."""
+    return InsufficientDataError(
+        f"speaker {speaker_id}: {n} frames < {needed} needed for {material}"
+    )
+
+
+def _checked_speakers(corpus: LoadedCorpus, needed: int, material: str) -> tuple:
+    """Speaker ids and frame counts; an InsufficientDataError below 2 speakers or ``needed``."""
+    ids = _speaker_ids(corpus)
     n_frames = [sum(len(s.frames) for s in sentences) for _, sentences in corpus.speakers]
     for speaker_id, n in zip(ids, n_frames):
         if n < needed:
-            raise InsufficientDataError(
-                f"speaker {speaker_id}: {n} frames < {needed} needed for {material}"
-            )
+            raise _short(speaker_id, n, needed, material)
     return ids, n_frames
 
 
-def _reference_registry(ids, moments: SegmentMoments, train_f: int) -> SpeakerRegistry:
-    """Registry of one model per speaker from the raw moments of its first ``train_f`` frames;
-    a reference that does not factorize is a DegenerateModelError naming its speaker."""
+def _reference_registry(ids, moments, train_f: int) -> SpeakerRegistry:
+    """Registry of one model per speaker from the raw (sums, outers, counts) moments
+    of its first ``train_f`` frames; a reference that does not factorize is a
+    DegenerateModelError naming its speaker."""
     try:
-        return SpeakerRegistry(ids, stack_moments(moments.spans([[0, train_f]] * len(ids))))
+        return SpeakerRegistry(ids, stack_moments(moments))
     except DegenerateModelError as exc:
         raise DegenerateModelError(
             f"reference from {train_f} training vectors, speaker {ids[exc.row]}: {exc}"
         ) from exc
 
 
-def _score_cells(registry, chunks, kinds, sc_convention, min_tests=None, where="") -> dict:
-    """One cell per measure kind: every test scored against every speaker.
+def _score_cells(registry, chunks, kinds, sc_convention, where="") -> tuple:
+    """Every test scored against every speaker, for every measure kind, as
+    (tallies, n_loaded).
 
     ``chunks`` yields ((sums, outers, counts), owners) pairs of raw test
     moments and their speakers. Each chunk is finalized, factorized, scored
     and reduced to decisions, and its stack dropped, before the next is
     pulled; all kinds of a chunk come from one ``measure_matrices`` call, so
-    the terms they share are computed once. A test that does not factorize
-    is a DegenerateModelError naming the cell ``where`` and its speaker.
+    the terms they share are computed once. ``tallies`` maps each speaker
+    with tests, in the order of its first test, to its test count followed
+    by its correct decisions under each kind; ``n_loaded`` counts the tests
+    whose covariance was loaded. A test that does not factorize is a
+    DegenerateModelError naming the cell ``where`` and its speaker.
     """
-    owners, decisions, n_loaded = [], {kind: [] for kind in kinds}, 0
-    for moments, chunk_owners in chunks:
+    tallies, n_loaded = {}, 0
+    for moments, owners in chunks:
         try:
             tests = stack_moments(moments)
         except DegenerateModelError as exc:
-            raise DegenerateModelError(f"{where}, speaker {chunk_owners[exc.row]}: {exc}") from exc
+            raise DegenerateModelError(f"{where}, speaker {owners[exc.row]}: {exc}") from exc
         n_loaded += int(np.count_nonzero(tests.loadings))
-        for kind, values in measure_matrices(kinds, registry.stack, tests, sc_convention).items():
-            decisions[kind] += decisions_from_scores(registry, values)
-        owners += chunk_owners
+        scores = measure_matrices(kinds, registry.stack, tests, sc_convention)
         del moments, tests  # else this chunk's models live on while the next is built
-    # with a minimum set, a cell without tests is low-count even at min_tests 0
-    low = min_tests is not None and len(owners) < max(min_tests, 1)
-    cells = {}
-    for kind, kind_decisions in decisions.items():
-        results = [
-            (owner, decision == owner) for owner, decision in zip(owners, kind_decisions)
-        ]
-        accuracies = compute_metrics(results) if results else (0.0, 0.0)
-        cells[kind] = ReportCell(*accuracies, len(results), low_count=low, n_loaded=n_loaded)
-    return cells
+        decided = [decisions_from_scores(registry, scores[kind]) for kind in kinds]
+        for owner, *decisions in zip(owners, *decided):
+            tally = tallies.setdefault(owner, [0] * (1 + len(kinds)))
+            tally[0] += 1
+            for column, decision in enumerate(decisions, 1):
+                tally[column] += decision == owner
+    return tallies, n_loaded
 
 
 def _sliced(moments, owners):
@@ -620,55 +691,65 @@ def _sliced(moments, owners):
 
 
 def _filled(pieces, test_len: int):
-    """Chunks of ``_CELL_CHUNK`` tests, and a last one of the rest, copied in order
-    from (owner, sums, outers) pieces of ``test_len``-frame tests into buffers of
-    their own, so the caller may finalize them in place."""
-    sums = outers = None
-    owners = []
-    for owner, piece_sums, piece_outers in pieces:
-        done = 0
-        while done < len(piece_sums):
-            if sums is None:
-                sums = np.empty((_CELL_CHUNK, *piece_sums.shape[1:]))
-                outers = np.empty((_CELL_CHUNK, *piece_outers.shape[1:]))
-            lo = len(owners)
-            take = min(_CELL_CHUNK - lo, len(piece_sums) - done)
-            sums[lo : lo + take] = piece_sums[done : done + take]
-            outers[lo : lo + take] = piece_outers[done : done + take]
+    """Chunks of ``_CELL_CHUNK`` tests, and a last one of the rest, joined in order
+    from (owner, sums, outers) pieces of ``test_len``-frame tests into arrays of
+    their own, so the caller may finalize them in place; a chunk's arrays hold
+    its tests only, however few."""
+    waiting, owners = [], []
+
+    def joined():
+        nonlocal waiting, owners
+        sums, outers = (np.concatenate(parts) for parts in zip(*waiting))
+        chunk = (sums, outers, np.full(len(owners), float(test_len))), owners
+        waiting, owners = [], []  # else the pieces live on beside their copy
+        return chunk
+
+    for owner, sums, outers in pieces:
+        while len(sums):
+            take = min(_CELL_CHUNK - len(owners), len(sums))
+            waiting.append((sums[:take], outers[:take]))
             owners += [owner] * take
-            done += take
+            sums, outers = sums[take:], outers[take:]
             if len(owners) == _CELL_CHUNK:
-                yield (sums, outers, np.full(_CELL_CHUNK, float(test_len))), owners
-                sums = outers = None
-                owners = []
+                yield joined()
     if owners:
-        n = len(owners)
-        yield (sums[:n], outers[:n], np.full(n, float(test_len))), owners
+        yield joined()
 
 
-def _report(protocol, axes, seed, cfg, cells: list, min_tests=None):
-    """The report of every (coords, build) cell, for each of ``cfg``'s measures.
+def _tallied_cells(parts, kinds, min_tests=None) -> dict:
+    """One :class:`ReportCell` per kind from the (tallies, n_loaded) that
+    :func:`_score_cells` returned for each part of a cell, in speaker order.
 
-    ``build()`` returns the cell's registry and an iterator of its tests'
-    ((sums, outers, counts), owners) chunks, at most ``_CELL_CHUNK`` tests
-    each; :func:`_score_cells` scores one chunk at a time, so the process
-    scoring a cell holds one chunk's models, never the whole cell's. Cells
-    are built and scored on every CPU this process may use, as
-    :func:`_ordered_map` says, and only their :class:`ReportCell` dicts come
-    back, in cell order.
+    The accuracies are :func:`compute_metrics`' of the cell's decisions, to
+    the bit: the global one is ``100.0 * correct / tests``, and the
+    per-speaker mean that of each speaker's ``100.0 * correct / tests``,
+    summed in speaker order over the speakers with tests. With
+    ``min_tests`` set, a cell without tests is low-count even at 0.
     """
+    counts = [tally for tallies, _ in parts for tally in tallies.values()]
+    n_loaded = sum(loaded for _, loaded in parts)
+    n = sum(tally[0] for tally in counts)
+    low = min_tests is not None and n < max(min_tests, 1)
+    cells = {}
+    for column, kind in enumerate(kinds, 1):
+        accuracies = (0.0, 0.0)
+        if n:
+            means = [100.0 * tally[column] / tally[0] for tally in counts]
+            correct = sum(tally[column] for tally in counts)
+            accuracies = (100.0 * correct / n, sum(means) / len(means))
+        cells[kind] = ReportCell(*accuracies, n, low_count=low, n_loaded=n_loaded)
+    return cells
+
+
+def _report(protocol, axes, seed, cfg, cells, min_tests=None) -> ExperimentReport:
+    """The report of (coords, parts) cells, in cell order, for each of ``cfg``'s
+    measures; see :func:`_tallied_cells`."""
     report = ExperimentReport(
         axes=(*axes, "measure"),
         metadata={"protocol": protocol, "seed": seed, "config": cfg.digest()},
     )
-
-    def score(cell):
-        coords, build = cell
-        where = ", ".join(f"{a} {_format_axis_value(v)}" for a, v in zip(axes, coords))
-        return _score_cells(*build(), cfg.measures, cfg.sc_convention, min_tests, where)
-
-    for (coords, _), by_kind in zip(cells, _ordered_map(score, cells)):
-        for kind, cell in by_kind.items():
+    for coords, parts in cells:
+        for kind, cell in _tallied_cells(parts, cfg.measures, min_tests).items():
             report.cells[(*coords, kind)] = cell
     return report
 
@@ -705,19 +786,28 @@ def run_duration_experiment(
             yield concat, np.concatenate(edges)
 
     moments = SegmentMoments(cut_streams())
-    registries = [_reference_registry(ids, moments, train_f) for train_f in train_frames]
+    registries = [
+        _reference_registry(ids, moments.spans([[0, train_f]] * len(ids)), train_f)
+        for train_f in train_frames
+    ]
 
-    def build(registry, train_f, test_f):
+    def score(cell):
+        # every test of one cell, its chunks sliced from the segment moments
+        (train_s, test_s), registry, train_f, test_f = cell
         bounds = [_test_bounds(n, train_f, test_f, cap) for n in n_frames]
         owners = [sid for sid, b in zip(ids, bounds) for _ in range(len(b) - 1)]
-        return registry, _sliced(moments.spans(bounds), owners)
+        chunks = _sliced(moments.spans(bounds), owners)
+        where = f"train_s {train_s:g}, test_s {test_s:g}"
+        return _score_cells(registry, chunks, cfg.measures, cfg.sc_convention, where)
 
     cells = [
-        ((train_s, test_s), functools.partial(build, registry, train_f, test_f))
+        ((train_s, test_s), registry, train_f, test_f)
         for train_s, train_f, registry in zip(cfg.train_durations, train_frames, registries)
         for test_s, test_f in zip(cfg.test_durations, test_frames)
     ]
-    return _report("duration", ("train_s", "test_s"), corpus.seed, cfg, cells)
+    scored = _ordered_map(score, cells)
+    tallied = [(cell[0], [part]) for cell, part in zip(cells, scored)]
+    return _report("duration", ("train_s", "test_s"), corpus.seed, cfg, tallied)
 
 
 def _test_bounds(n_frames: int, train_f: int, test_f: int, cap: int) -> np.ndarray:
@@ -758,34 +848,33 @@ def _test_segments(speaker_id, placed, train_f: int, pre_frames: int, post_frame
     return sentences
 
 
-def _pooled_moments(tests, selector, taxonomy, test_len: int):
-    """(speaker id, sums, outers): raw moments of the tests of each (speaker
-    id, (frames, segments) sentences) pair, a few sentences at a time.
+def _pooled_moments(speaker_id, sentences, selector, taxonomy, test_len: int):
+    """(speaker_id, sums, outers): raw moments of a speaker's tests from its
+    (frames, segments) sentences, a few sentences at a time.
 
-    A speaker's tests are the frames of its sentences that match
-    ``selector``, pooled in order and cut into consecutive ``test_len``-frame
-    blocks. Sentences are pooled until ``_POOL_FRAMES`` frames are waiting,
-    and the frames after the last whole test begin the next pool, so the
-    blocks are those of the speaker's whole pool without ever copying it. A
-    speaker with tests gets one count check, as a block set of
+    The tests are the frames of the sentences that match ``selector``, pooled
+    in order and cut into consecutive ``test_len``-frame blocks. Sentences
+    are pooled until ``_POOL_FRAMES`` frames are waiting, and the frames
+    after the last whole test begin the next pool, so the blocks are those
+    of the speaker's whole pool without ever copying it. A speaker with
+    tests gets one count check, as a block set of
     :func:`~sosid.gaussian.stack_blocks` does.
     """
-    for speaker_id, sentences in tests:
-        pending, checked = [], False
-        for index, (frames, segments) in enumerate(sentences, 1):
-            pending.append(select_frames(frames, segments, selector, taxonomy))
-            if sum(map(len, pending)) < _POOL_FRAMES and index < len(sentences):
-                continue
-            pool = np.concatenate(pending)
-            n = len(pool) // test_len
-            pending = [pool[n * test_len :].copy()]
-            if n:
-                if not checked:
-                    _check_count(test_len, pool.shape[1])
-                    checked = True
-                moments = _raw_moments(assemble_tests(pool, test_len))
-                del pool  # only the moments and the frames left over wait on the consumer
-                yield (speaker_id, *moments)
+    pending, checked = [], False
+    for index, (frames, segments) in enumerate(sentences, 1):
+        pending.append(select_frames(frames, segments, selector, taxonomy))
+        if sum(map(len, pending)) < _POOL_FRAMES and index < len(sentences):
+            continue
+        pool = np.concatenate(pending)
+        n = len(pool) // test_len
+        pending = [pool[n * test_len :].copy()]
+        if n:
+            if not checked:
+                _check_count(test_len, pool.shape[1])
+                checked = True
+            moments = _raw_moments(assemble_tests(pool, test_len))
+            del pool  # only the moments and the frames left over wait on the consumer
+            yield (speaker_id, *moments)
 
 
 def run_phonetic_experiment(
@@ -793,35 +882,69 @@ def run_phonetic_experiment(
 ) -> ExperimentReport:
     """Score phonetically biased one-second tests against unbiased training.
 
-    The protocol is ``cfg``, or the defaults, with ``fields`` set over it. Its
-    cells, one per selector, are scored on every CPU, as in :func:`run_duration_experiment`.
+    The protocol is ``cfg``, or the defaults, with ``fields`` set over it.
+    Its speakers are taken on every CPU, as :func:`_ordered_map` says, in two
+    passes. The first indexes each speaker's sentences in stream order until
+    it has the training frames and returns their raw moments, from which
+    this process builds the references. The second indexes the rest, from
+    the sentence that reaches past the training frames, builds every
+    selector's tests and scores them, a speaker's tests of one selector
+    ``_CELL_CHUNK`` at a time, and returns only the speaker's tallies.
+
+    The warnings, and the first error, are those of a serial run in this
+    order: each speaker's training sentences (read errors, then a speaker
+    short of the training frames), then the references, then each
+    speaker's test sentences (read errors, then a speaker short of one
+    test, then its alignments), then its selectors' tests. A speaker's
+    shortfall names all its frames.
     """
     cfg = PhoneticProtocolConfig(**fields) if cfg is None else replace(cfg, **fields)
     train_f = _seconds_to_frames(cfg.train_seconds)
-    ids, _ = _checked_speakers(
-        corpus, train_f + cfg.test_len, f"{cfg.train_seconds:g} s training plus one test"
-    )
+    ids = _speaker_ids(corpus)
+    needed = train_f + cfg.test_len
+    material = f"{cfg.train_seconds:g} s training plus one test"
 
-    # tests read each sentence's own array; only a training block is ever concatenated
-    orders = [_speaker_order(corpus, index) for index in range(len(ids))]
-    tests = [
-        (sid, _test_segments(sid, placed, train_f, cfg.pre_frames, cfg.post_frames))
-        for sid, placed in zip(ids, orders)
-    ]
+    def training(index):
+        # (raw moments of the first train_f frames, (position, offset) in the
+        # stream of the first sentence that reaches past them)
+        blocks, end = [], 0
+        order = _sentence_order(corpus, index)
+        for position, (offset, sentence) in enumerate(_placed(corpus.speakers[index][1], order)):
+            blocks.append(sentence.frames)
+            end = offset + len(sentence.frames)
+            if end >= train_f:
+                first_test = (position, offset) if end > train_f else (position + 1, end)
+                return _block_moments(np.concatenate(blocks)[None, :train_f]), first_test
+        raise _short(ids[index], end, needed, material)
 
-    def leading_frames():
-        # one speaker's training block alive at a time
-        for placed in orders:
-            frames = [sentence.frames for offset, sentence in placed if offset < train_f]
-            yield np.concatenate(frames)[:train_f], [train_f]
+    trained = _ordered_map(training, list(range(len(ids))))
+    registry = _reference_registry(ids, _concat_moments(m for m, _ in trained), train_f)
 
-    registry = _reference_registry(ids, SegmentMoments(leading_frames()), train_f)
+    def tallies(item):
+        # {selector: (tallies, n_loaded)} of the index-th speaker's tests
+        index, (position, offset) = item
+        speaker_id, sentences = corpus.speakers[index]
+        order = _sentence_order(corpus, index)[position:]
+        placed = list(_placed(sentences, order, offset))
+        n = placed[-1][0] + len(placed[-1][1].frames) if placed else offset
+        if n < needed:
+            raise _short(speaker_id, n, needed, material)
+        tests = _test_segments(speaker_id, placed, train_f, cfg.pre_frames, cfg.post_frames)
+        del placed  # their alignments go; their frames live on in tests
+        by_selector = {}
+        for selector in cfg.selectors:
+            pieces = _pooled_moments(speaker_id, tests, selector, cfg.taxonomy, cfg.test_len)
+            by_selector[selector] = _score_cells(
+                registry,
+                _filled(pieces, cfg.test_len),
+                cfg.measures,
+                cfg.sc_convention,
+                f"selector {selector}",
+            )
+        return by_selector
 
-    def build(selector):
-        pieces = _pooled_moments(tests, selector, cfg.taxonomy, cfg.test_len)
-        return registry, _filled(pieces, cfg.test_len)
-
-    cells = [((selector,), functools.partial(build, selector)) for selector in cfg.selectors]
+    scored = _ordered_map(tallies, [(index, first) for index, (_, first) in enumerate(trained)])
+    cells = [((sel,), [by_selector[sel] for by_selector in scored]) for sel in cfg.selectors]
     return _report("phonetic", ("selector",), corpus.seed, cfg, cells, cfg.min_tests)
 
 

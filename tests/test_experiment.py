@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import json
@@ -58,6 +59,7 @@ from sosid.phonetic import (
     default_taxonomy,
     expand_kernels,
     format_alignment,
+    load_taxonomy,
     select_frames,
 )
 from sosid.synthetic import SynthCorpusConfig, make_corpus, write_corpus
@@ -521,6 +523,130 @@ class TestTrainWorkers:
         assert peaks[12] < 3 * speaker_bytes
 
 
+def _eval_phonetic(manifest, out, *flags) -> int:
+    return main(["eval-phonetic", "--manifest", str(manifest), "--out", str(out), *flags])
+
+
+def _phonetic_corpus(root, sentence_frames, frames=2400, n_speakers=3):
+    cfg = SynthCorpusConfig(
+        n_speakers=n_speakers,
+        dim=6,
+        separation=1.0,
+        class_spread=1.0,
+        frames_per_speaker=frames,
+        sentence_len_frames=sentence_frames,
+        seed=2,
+    )
+    return write_corpus(cfg, root / "corpus")
+
+
+def _keep_sentences(manifest, kept: dict) -> None:
+    """Keep only the first ``kept[i]`` sentences of the manifest's i-th speaker."""
+    doc = json.loads(manifest.read_text())
+    for index, n in kept.items():
+        doc["speakers"][index]["sentences"] = doc["speakers"][index]["sentences"][:n]
+    manifest.write_text(json.dumps(doc))
+
+
+class TestPhoneticWorkers:
+    """sosid eval-phonetic reads each speaker where it is scored and still
+    writes the report of the loaded corpus."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize(
+        "sentence_frames, frames, flags",
+        [
+            # the 15 s training boundary falls inside the fourth 400-frame sentence
+            (400, 2400, ["--min-tests", "0"]),
+            # ... and exactly between the sixth and the seventh 250-frame sentence
+            (250, 2500, ["--seed", "9", "--format", "markdown"]),
+            (300, 2400, ["--taxonomy", "{taxonomy}", "--selectors", "Mixed,Vowels,m"]),
+        ],
+        ids=["boundary-inside-a-sentence", "boundary-between-sentences-seed", "taxonomy"],
+    )
+    def test_report_is_that_of_the_loaded_corpus(
+        self, tmp_path, cpus, n, sentence_frames, frames, flags
+    ):
+        manifest = _phonetic_corpus(tmp_path, sentence_frames, frames)
+        taxonomy = tmp_path / "taxonomy.json"
+        classes = {name: sorted(labels) for name, labels in default_taxonomy().classes.items()}
+        taxonomy.write_text(json.dumps({**classes, "Mixed": classes["All"][::2]}))
+        flags = [flag.format(taxonomy=taxonomy) for flag in flags]
+        given = dict(zip(flags[::2], flags[1::2]))
+        fields = {}
+        if "--taxonomy" in given:
+            fields["taxonomy"] = load_taxonomy(taxonomy)
+            fields["selectors"] = tuple(given["--selectors"].split(","))
+        if "--min-tests" in given:
+            fields["min_tests"] = int(given["--min-tests"])
+        loaded = load_manifest(manifest)
+        if "--seed" in given:
+            loaded = dataclasses.replace(loaded, seed=int(given["--seed"]))
+        corpus = load_corpus(loaded, base_dir=manifest.parent)
+        report = run_phonetic_experiment(corpus, PhoneticProtocolConfig(**fields))
+        want = emit_report(report, given.get("--format", "csv"))
+        forks = cpus(n)
+        forks.clear()
+        assert _eval_phonetic(manifest, tmp_path / "got", *flags) == 0
+        assert forks == ([] if n == 1 else ["fork"] * 2)
+        assert multiprocessing.active_children() == []
+        assert (tmp_path / "got").read_text(encoding="utf-8") == want
+        assert report.cells[(fields.get("selectors", ("All",))[0], "mu_g")].n_tests > 0
+
+    @pytest.mark.parametrize(
+        "kept, named",
+        [
+            ({1: 0}, "speaker spk001: 0 frames < 1600"),
+            # past the training frames, one 100-frame test short
+            ({1: 5}, "speaker spk001: 1500 frames < 1600"),
+            # spk000 is short of a test and spk002 of the training frames: every
+            # speaker's training comes first
+            ({0: 5, 2: 3}, "speaker spk002: 900 frames < 1600"),
+        ],
+        ids=["no-sentences", "short-of-a-test", "training-before-tests"],
+    )
+    def test_short_speaker_names_all_its_frames(self, tmp_path, cpus, capsys, kept, named):
+        manifest = _phonetic_corpus(tmp_path, 300)
+        _keep_sentences(manifest, kept)
+        messages, raised = [], []
+        for n in (1, 2, 3):
+            cpus(n)
+            assert _eval_phonetic(manifest, tmp_path / "report") == 2
+            messages.append(capsys.readouterr().err)
+            with pytest.raises(InsufficientDataError) as info:
+                run_phonetic_experiment(load_corpus(manifest))
+            raised.append(str(info.value))
+            assert multiprocessing.active_children() == []
+        want = f"{named} needed for 15 s training plus one test"
+        assert messages == [f"error: {want}\n"] * 3
+        assert raised == [want] * 3
+        assert not (tmp_path / "report").exists()
+
+    def test_two_speakers_are_checked_before_any_read(self, tmp_path, capsys):
+        manifest = _phonetic_corpus(tmp_path, 300)
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, "speakers": doc["speakers"][:1]}))
+        for path in (manifest.parent / "spk000").iterdir():
+            path.unlink()
+        assert _eval_phonetic(manifest, tmp_path / "report") == 2
+        assert capsys.readouterr().err == "error: identification needs at least 2 speakers\n"
+
+    def test_holds_one_speaker_of_the_corpus(self, tmp_path, cpus):
+        # each speaker's sentences are read as they are scored, so the peak
+        # holds one speaker's frames, not the corpus's
+        cpus(1)
+        cfg = SynthCorpusConfig(
+            n_speakers=8, dim=24, frames_per_speaker=3000, sentence_len_frames=300
+        )
+        manifest = write_corpus(cfg, tmp_path / "corpus")
+        peak, code = _traced_peak(_eval_phonetic, manifest, tmp_path / "report")
+        assert code == 0
+        speaker_bytes = 3000 * 24 * 8
+        # measured: 1.87 (a speaker's test sentences, its pooled frames and a
+        # chunk's models); load_corpus and then the protocol peak at 13.9
+        assert peak < 2 * speaker_bytes
+
+
 class TestOrderedMap:
     def test_reads_every_ready_outcome_after_each_own_item(self, cpus, monkeypatch):
         cpus(2)  # the worker takes items 0, 2, 4, 6 and this process 1, 3, 5, 7
@@ -876,9 +1002,10 @@ class TestScoreCells:
             return chunk_scores[-1]
 
         with mock.patch.object(experiment, "measure_matrices", recorded):
-            cells = experiment._score_cells(
+            tallies, n_loaded = experiment._score_cells(
                 registry, experiment._sliced(moments, owners), MEASURE_KINDS, "decomposition"
             )
+        cells = experiment._tallied_cells([(tallies, n_loaded)], MEASURE_KINDS)
         assert [len(scores["mu_g"]) for scores in chunk_scores] == [256, 256, 88]
         for kind in MEASURE_KINDS:
             got = np.concatenate([scores[kind] for scores in chunk_scores])
@@ -1017,7 +1144,7 @@ class TestPhoneticExperiment:
             return score_cells(registry, chunks, *args)
 
         score_cells = experiment._score_cells
-        cpus(1)  # every cell is scored in this process, where the spy sees it
+        cpus(1)  # every speaker is scored in this process, where the spy sees it
         # chunks of 50 tests, so that chunk edges fall inside a speaker's tests
         # and inside a batch of its pooled sentences
         with mock.patch.object(experiment, "_score_cells", spy), mock.patch.object(
@@ -1027,8 +1154,17 @@ class TestPhoneticExperiment:
                 corpus, selectors=selectors, train_seconds=14.2, test_len=60, pre_frames=3
             )
         taxonomy = default_taxonomy()
-        assert len(seen) == len(selectors)
-        for selector, (tests, owners) in zip(selectors, seen):
+        # one call per speaker and selector, speaker by speaker, each on that
+        # speaker's tests only
+        ids = [speaker_id for speaker_id, _ in corpus.speakers]
+        assert len(seen) == len(ids) * len(selectors)
+        for call, (_, owners) in enumerate(seen):
+            assert set(owners) <= {ids[call // len(selectors)]}
+        for column, selector in enumerate(selectors):
+            calls = seen[column :: len(selectors)]
+            stacks = [tests for tests, _ in calls if tests is not None]
+            tests = functools.reduce(ModelStack.append, stacks) if stacks else None
+            owners = [owner for _, call_owners in calls for owner in call_owners]
             blocks, want_owners = [], []
             for speaker_id, concat, placed in experiment._speaker_streams(corpus):
                 segments = _stream_segments(placed, 1420, pre=3)
@@ -1061,10 +1197,11 @@ class TestPhoneticExperiment:
         assert peak - start < 0.5 * frame_bytes
 
     def test_a_cell_holds_one_chunk_of_models(self, cpus):
-        # the All cell has 904 tests, four chunks; while it is built and scored
-        # the process holds one chunk's covariances, its inverses and their work
-        # buffers, not the cell's stacks (about 14 chunks' covariance bytes when
-        # the cell was one stack) nor a speaker's whole pool of test frames
+        # the All cell has 904 tests, about 226 a speaker; while a speaker's are
+        # built and scored the process holds one chunk's covariances, its
+        # inverses and their work buffers, not the cell's stacks (about 14
+        # chunks' covariance bytes when the cell was one stack) nor a speaker's
+        # whole pool of test frames
         import tracemalloc
 
         corpus = make_corpus(
@@ -1089,7 +1226,9 @@ class TestPhoneticExperiment:
             tracemalloc.stop()
         assert report.cells[("All", "mu_g")].n_tests == 904
         chunk_covs = experiment._CELL_CHUNK * 24 * 24 * 8
-        assert peaks[0] < 2.5 * chunk_covs
+        # the first pass reads the training frames, the second scores the tests
+        assert len(peaks) == 2
+        assert peaks[1] < 2.5 * chunk_covs
 
     def test_reports_are_byte_identical_across_runs(self):
         _, corpus_a = _labeled_corpus(seed=5)
@@ -1111,12 +1250,15 @@ class TestPhoneticExperiment:
         score_cells = experiment._score_cells
         cpus(1)  # the spy sees only the cells this process scores: all of them
         cfg = DurationProtocolConfig(train_durations=(15.0,))
+        n_speakers = len(corpus.speakers)
         with mock.patch.object(experiment, "_score_cells", spy):
             run_phonetic_experiment(corpus, selectors=("All",), min_tests=1)
-            assert len(registries) == 1
+            # each speaker's tests are scored against the one registry
+            assert len(registries) == n_speakers
+            assert all(registry is registries[0] for registry in registries)
             phonetic = registries[-1]
             run_duration_experiment(corpus, cfg)
-            assert len(registries) == 1 + len(cfg.test_durations)
+            assert len(registries) == n_speakers + len(cfg.test_durations)
             duration = registries[-1]
         for speaker_id, concat, _ in experiment._speaker_streams(corpus):
             want = GaussianModel.from_frames(concat[:1500])
@@ -1265,6 +1407,9 @@ def _recorded(action):
 
 
 _GRIDS = [_duration_grid, _phonetic_grid]
+# ordered maps per run: the phonetic protocol maps its speakers once to
+# train and once to score
+_MAPS = {_duration_grid: 1, _phonetic_grid: 2}
 _DEGENERATE_GRIDS = [_degenerate_duration_grid, _degenerate_phonetic_grid]
 
 
@@ -1281,7 +1426,7 @@ class TestProtocolWorkers:
                 report = grid()
             runs.append((report, [(w.category, str(w.message)) for w in caught]))
             assert multiprocessing.active_children() == []
-        assert forks == ["fork"] * 3
+        assert forks == ["fork"] * 3 * _MAPS[grid]
         (serial, serial_warnings), *pooled = runs
         assert serial_warnings and all(c is RuntimeWarning for c, _ in serial_warnings)
         for report, caught in pooled:
@@ -1368,7 +1513,7 @@ class TestProtocolWorkers:
     def test_scores_in_process_in_a_daemonic_process(self, cpus):
         forks = cpus(2)
         want = _quiet_reports()
-        assert forks == ["fork"] * 2
+        assert forks == ["fork"] * sum(_MAPS.values())
         # a daemonic pool worker may not start processes of its own
         with multiprocessing.get_context("fork").Pool(1) as pool:
             assert pool.apply(_quiet_reports) == want
